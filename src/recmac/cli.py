@@ -358,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="pad-masked mode with k1 handed back afterwards")
     sp.add_argument("--lift", action="store_true",
                     help="in standard mode, run on the pad-keyed lift")
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--worst-case", action="store_true", default=True)
-    g.add_argument("--identity", action="store_true",
-                   help="honest environment instead of the worst case")
+    sp.add_argument("--identity", action="store_true",
+                    help="honest environment instead of the worst case")
     sp.set_defaults(handler=cmd_uc_distance, default_format="json")
 
     sp = sub.add_parser("impersonate", help="inject a wire message before any round")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dist import Dist, statistical_distance
-from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
+from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
 from .families import HashFamily
 from .measure import measure_axu2
 
@@ -95,7 +95,8 @@ def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
             entries.append(LedgerEntry(r, "auth", eps))
     ledger = ErrorLedger(tuple(entries))
     bound = qkd_rounds * (auths_per_round * eps + qkd.eps_prime)
-    assert ledger.total == bound
+    if ledger.total != bound:
+        raise VerificationFailed(f"ledger sums to {ledger.total}, closed form gives {bound}")
     return ledger, bound
 
 

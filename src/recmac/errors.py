@@ -27,3 +27,10 @@ class SchemaMismatch(ValueError):
 
 class PadExhausted(RuntimeError):
     """A key stream ran out of one-time pads; pads are never reused."""
+
+
+class VerificationFailed(RuntimeError):
+    """An exact result disagrees with its independent re-computation.
+
+    Raised, never asserted, so the check survives `python -O`.
+    """

@@ -238,14 +238,26 @@ class TableFamily(HashFamily):
         messages = list(messages)
         if not messages:
             raise DomainError("table family needs at least one message")
-        if len(set(map(self._freeze, messages))) != len(messages):
+        try:
+            distinct = len(set(map(self._freeze, messages)))
+        except TypeError:
+            raise DomainError("table family messages must be numbers, strings or lists") from None
+        if distinct != len(messages):
             raise DomainError("table family messages must be distinct")
-        rows = [list(r) for r in table]
+        try:
+            rows = [list(r) for r in table]
+        except TypeError:
+            raise DomainError("every table row must be a list of tags") from None
         if not rows:
             raise DomainError("table family needs at least one key row")
         for r in rows:
             if len(r) != len(messages):
                 raise DomainError("every table row must have one tag per message")
+            for t in r:
+                if type(t) is not int:  # bool is an int subclass, and no tag
+                    raise DomainError(f"tags must be integers, got {t!r}")
+        if m is not None and type(m) is not int:
+            raise DomainError(f"tag width m must be an integer, got {m!r}")
         max_tag = max(max(r) for r in rows)
         min_tag = min(min(r) for r in rows)
         if min_tag < 0:

@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DEFAULT_BUDGET
+from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
 from .families import HashFamily
 
 
@@ -55,12 +55,6 @@ class SampledMeasurement:
     pair_coverage: Fraction      # sampled pairs / all pairs
     seed: int
     witness: tuple | None
-
-
-def _xor_messages(fam: HashFamily, x1, x2):
-    if isinstance(x1, tuple):
-        return tuple(a ^ b for a, b in zip(x1, x2))
-    return x1 ^ x2
 
 
 def _linear_ok(fam: HashFamily) -> bool:
@@ -88,7 +82,9 @@ def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     witness = None
     if _linear_ok(fam):
         zero = fam.messages[0]
-        assert fam.message_to_int(zero) == 0
+        if fam.message_to_int(zero) != 0:
+            raise VerificationFailed(
+                f"difference shortcut needs the zero message first in {fam.descriptor()}")
         for d in fam.messages:
             if d == zero:
                 continue
@@ -156,6 +152,8 @@ def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0) -> SampledMea
     by the binomial 3-sigma width it would carry if the keys had been sampled
     rather than enumerated; it is advisory, the bound itself is exact.
     """
+    if pairs < 1:
+        raise DomainError(f"need at least one sampled pair, got {pairs}")
     if len(fam.messages) < 2:
         return SampledMeasurement("axu2", Fraction(0), (0.0, 0.0), 0, Fraction(1), seed, None)
     rng = random.Random(seed)

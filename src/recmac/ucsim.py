@@ -21,22 +21,27 @@ conditional outcome given y depends on the environment only through the
 single wire message it substitutes for y.  The distance of a deterministic
 environment is therefore sum_y P(y) * TV(real | y, ideal | y), and the
 maximum over environments is attained by maximizing each y-slice
-independently.  The greedy witness is then re-run through run_real/run_ideal
-and the two numbers are asserted equal, so the reported maximum never rests
-on the decomposition alone.  Ties break toward the earliest candidate in
-canonical order (messages in family order, tags ascending), and identity is
-kept wherever no substitution gains anything.
+independently.  Ties break toward the earliest candidate in canonical order
+(messages in family order, tags ascending), and identity is kept wherever no
+substitution gains anything.
+
+Both searches count keys in integers through one kernel (_tv_numerator) and
+build a single Fraction at the end.  The receiver's verdict depends on the key
+and the delivered wire message only, so it is computed once per candidate and
+shared by every observed y.  Each witness is re-run through run_real/run_ideal
+and VerificationFailed is raised unless the numbers agree, so a reported
+maximum never rests on the decomposition or the kernel alone.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .dist import Dist, outcome_sort_key, statistical_distance
-from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
+from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
 from .families import CounterexampleFamily, HashFamily
 
 SUBSTITUTION = "substitution"
@@ -331,24 +336,6 @@ def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,
     return uc_distance(fam_or_proto, EnvStrategy.impersonate(wire), recycle, budget)
 
 
-def _conditional_tv(proto: AuthProtocol, x, y, yp, klist, rvals) -> Fraction:
-    """TV between the two worlds' (out, k1) conditionals at observed y."""
-    n = len(klist)
-    real: dict[tuple, int] = defaultdict(int)
-    for key in klist:
-        real[(proto.receive(key, yp), proto.recycled(key))] += 1
-    out0 = x if yp == y else None
-    runit = Fraction(1, len(rvals))
-    total = Fraction(0)
-    seen = set(real)
-    seen.update((out0, k1) for k1 in rvals)
-    for cell in seen:
-        p = Fraction(real.get(cell, 0), n)
-        q = runit if cell[0] == out0 else Fraction(0)
-        total += abs(p - q)
-    return total / 2
-
-
 def _search_budget(proto: AuthProtocol, budget: int) -> tuple[list, list]:
     keys = list(proto.keys())
     wire = proto.wire_values()
@@ -356,6 +343,39 @@ def _search_budget(proto: AuthProtocol, budget: int) -> tuple[list, list]:
     if work > budget:
         raise BudgetExceeded(f"worst-case search needs {work} cells, budget is {budget}")
     return keys, wire
+
+
+def _tv_numerator(cells: Mapping[tuple, int], out0, n: int, nr: int) -> int:
+    """2*n*nr times the TV distance between the two worlds' (out, k1) laws.
+
+    `cells` counts n real keys by (out, k1); the ideal world puts 1/nr on each
+    (out0, k1).  The result is sum |c*nr - n*[out = out0]| over real and ideal
+    cells, an ideal cell without real keys adding n.  Real k1 values are among
+    the nr recycled ones, so a real cell with out = out0 is an ideal cell.
+    """
+    total = n * nr
+    for (out, _), c in cells.items():
+        if out == out0:
+            total += abs(c * nr - n) - n
+        else:
+            total += c * nr
+    return total
+
+
+def _recycling(proto: AuthProtocol, keys: list) -> tuple[list, int]:
+    """Each key's recycled value, and how many recycled values there are."""
+    nr = len(proto.recycled_values()) if proto.recycles else 1
+    return [proto.recycled(key) for key in keys], nr
+
+
+def _verified(proto: AuthProtocol, d: Fraction, env: EnvStrategy,
+              budget: int) -> tuple[Fraction, EnvStrategy]:
+    """Re-run a search's witness through run_real/run_ideal; raise on disagreement."""
+    check = uc_distance(proto, env, budget=budget)
+    if check != d:
+        raise VerificationFailed(
+            f"worst-case search found {d} but its witness runs at {check}")
+    return d, env
 
 
 def worst_case_substitution(fam_or_proto, recycle: bool = False,
@@ -369,48 +389,54 @@ def worst_case_substitution(fam_or_proto, recycle: bool = False,
     """
     proto = as_protocol(fam_or_proto, recycle)
     keys, wire = _search_budget(proto, budget)
-    rvals = list(proto.recycled_values()) if proto.recycles else [None]
-    nkeys = len(keys)
-    best_total = None
-    best_env = None
+    rec, nr = _recycling(proto, keys)
+    groups = []  # (x, y, indices of the keys sending y on x), y ascending per x
+    spans = []   # (x, its first group, the group after its last)
     for x in proto.messages:
         by_y: dict[tuple, list] = defaultdict(list)
-        for key in keys:
-            by_y[proto.encode(key, x)].append(key)
-        total = Fraction(0)
-        mapping: dict[tuple, tuple] = {}
-        for y in sorted(by_y, key=outcome_sort_key):
-            klist = by_y[y]
-            best_tv = Fraction(0)
-            best_yp = None
-            for yp in wire:
-                tv = _conditional_tv(proto, x, y, yp, klist, rvals)
-                if tv > best_tv:
-                    best_tv, best_yp = tv, yp
-            if best_yp is not None:
-                mapping[y] = best_yp
-                total += Fraction(len(klist), nkeys) * best_tv
+        for i, key in enumerate(keys):
+            by_y[proto.encode(key, x)].append(i)
+        lo = len(groups)
+        groups.extend((x, y, by_y[y]) for y in sorted(by_y, key=outcome_sort_key))
+        spans.append((x, lo, len(groups)))
+    best = [0] * len(groups)
+    best_yp: list = [None] * len(groups)
+    for yp in wire:
+        cells = list(zip([proto.receive(key, yp) for key in keys], rec))
+        for g, (x, y, idx) in enumerate(groups):
+            num = _tv_numerator(Counter(map(cells.__getitem__, idx)),
+                                x if yp == y else None, len(idx), nr)
+            if num > best[g]:
+                best[g], best_yp[g] = num, yp
+    # group numerators share the denominator 2*|keys|*nr: P(y) = |idx|/|keys|
+    best_total = best_env = None
+    for x, lo, hi in spans:
+        total = sum(best[lo:hi])
         if best_total is None or total > best_total:
             best_total = total
-            best_env = EnvStrategy.substitute(x, mapping)
-    check = uc_distance(proto, best_env, budget=budget)
-    assert check == best_total, "per-y decomposition disagrees with direct run"
-    return best_total, best_env
+            best_env = EnvStrategy.substitute(x, {
+                groups[g][1]: best_yp[g] for g in range(lo, hi) if best_yp[g] is not None})
+    return _verified(proto, Fraction(best_total, 2 * len(keys) * nr), best_env, budget)
 
 
 def worst_case_impersonation(fam_or_proto, recycle: bool = False,
                              budget: int = DEFAULT_BUDGET) -> tuple[Fraction, EnvStrategy]:
-    """Maximal distance over all injectable wire messages."""
+    """Maximal distance over all injectable wire messages.
+
+    The ideal receiver rejects every injection, so the kernel compares the
+    real (out, k1) counts over all keys with out0 = None.
+    """
     proto = as_protocol(fam_or_proto, recycle)
-    _, wire = _search_budget(proto, budget)
-    best = None
-    best_env = None
+    keys, wire = _search_budget(proto, budget)
+    rec, nr = _recycling(proto, keys)
+    best, best_yp = -1, None
     for yp in wire:
-        env = EnvStrategy.impersonate(yp)
-        d = uc_distance(proto, env, budget=budget)
-        if best is None or d > best:
-            best, best_env = d, env
-    return best, best_env
+        cells = Counter(zip([proto.receive(key, yp) for key in keys], rec))
+        num = _tv_numerator(cells, None, len(keys), nr)
+        if num > best:
+            best, best_yp = num, yp
+    return _verified(proto, Fraction(best, 2 * len(keys) * nr),
+                     EnvStrategy.impersonate(best_yp), budget)
 
 
 def worst_case_distance(fam_or_proto, recycle: bool = False,

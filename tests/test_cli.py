@@ -163,6 +163,25 @@ def test_exit_codes(tmp_path, capsys):
         main(["nonsense"])
 
 
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("recmac: error: ") and err.count("\n") == 1
+
+
+def test_sampling_without_pairs_is_a_usage_error(capsys):
+    assert run_main("epsilon", "--family", "mul:m=3", "--sample", "--pairs", "0") == 2
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("table", [[["a", 1], [1, 0]], [[True, 1], [1, 0]]],
+                         ids=["string", "bool"])
+def test_table_with_non_integer_tags_is_a_usage_error(tmp_path, capsys, table):
+    famfile = tmp_path / "fam.json"
+    famfile.write_text(json.dumps({"keys": 2, "messages": [0, 1], "table": table}))
+    assert run_main("epsilon", "--family", f"table:@{famfile}") == 2
+    assert one_error_line(capsys)
+
+
 ALL_COMMANDS = [
     ("epsilon", "--family", "mul:m=3"),
     ("epsilon", "--family", "mul:m=5", "--sample", "--pairs", "50", "--seed", "7"),

@@ -17,6 +17,7 @@ from recmac import (
     TableFamily,
     ToeplitzFamily,
     ToyQkdFunctionality,
+    VerificationFailed,
     compose_ledger,
     measure_axu2,
     run_attack_exact,
@@ -60,6 +61,12 @@ def test_ledger_closed_form_randomized():
         assert bound == r * (l * eps + eps_prime)
         assert ledger.total == bound
         assert len(ledger.entries) == r * (l + 1)
+
+
+def test_ledger_raises_when_entries_miss_the_closed_form(monkeypatch):
+    monkeypatch.setattr(ErrorLedger, "total", property(lambda self: F(0)))
+    with pytest.raises(VerificationFailed):
+        compose_ledger(MulFamily(2), 1, 1, ToyQkdFunctionality(2, F(0)))
 
 
 def test_qkd_functionality_validation():

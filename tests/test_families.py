@@ -189,6 +189,26 @@ def test_table_family_validation():
     assert fam.tag_bits == 4                   # pinned wider than needed
 
 
+@pytest.mark.parametrize("rows, m", [
+    ([["a", 1], [1, 0]], None),
+    ([[True, 1], [1, 0]], None),
+    ([[1.5, 1]], None),
+    ([[None, 1]], None),
+    ([1, 2], None),
+    ([[0, 1]], "x"),
+], ids=["string", "bool", "float", "null", "scalar-row", "string-width"])
+def test_table_family_rejects_non_integer_tags(rows, m):
+    with pytest.raises(DomainError):
+        TableFamily([0, 1], rows, m=m)
+
+
+def test_table_family_rejects_unhashable_messages():
+    with pytest.raises(DomainError):
+        TableFamily([{}, 1], [[0, 1]])
+    with pytest.raises(DomainError):
+        TableFamily([[1, [2]], 1], [[0, 1]])
+
+
 def test_table_family_wire_is_index():
     fam = TableFamily(["alpha", "beta"], [[1, 2], [3, 0]])
     assert fam.message_to_int("beta") == 1

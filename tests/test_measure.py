@@ -7,10 +7,12 @@ import pytest
 from recmac import (
     BudgetExceeded,
     CounterexampleFamily,
+    DomainError,
     MulFamily,
     PolyFamily,
     TableFamily,
     ToeplitzFamily,
+    VerificationFailed,
     lift_to_asu2,
     measure_asu2,
     measure_axu2,
@@ -126,6 +128,18 @@ def test_sampling_is_deterministic_and_below_exact():
     x1, x2, t = a.witness
     hits = sum(1 for k in fam.keys() if fam.tag(k, x1) ^ fam.tag(k, x2) == t)
     assert F(hits, fam.key_count) == a.epsilon_estimate
+
+
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_sampling_needs_at_least_one_pair(pairs):
+    with pytest.raises(DomainError):
+        sample_axu2(MulFamily(3), pairs=pairs)
+
+
+def test_difference_shortcut_checks_zero_message(monkeypatch):
+    monkeypatch.setattr(MulFamily, "message_to_int", lambda self, x: 1)
+    with pytest.raises(VerificationFailed):
+        measure_axu2(MulFamily(2))
 
 
 def test_sampling_finds_maximum_on_tiny_family():

@@ -24,6 +24,7 @@ from recmac import (
     SchemaMismatch,
     TableFamily,
     ToeplitzFamily,
+    VerificationFailed,
     WcProtocol,
     counterexample_protocol,
     impersonation_distance,
@@ -38,6 +39,7 @@ from recmac import (
     worst_case_impersonation,
     worst_case_substitution,
 )
+from recmac import ucsim
 from recmac.ucsim import FIELDS_IMP, FIELDS_SUB, as_protocol
 
 from conftest import impersonation_tv_oracle, substitution_tv_oracle
@@ -223,6 +225,103 @@ def test_counterexample_protocol_distances():
     proto1 = counterexample_protocol(1)
     assert worst_case_impersonation(proto1)[0] == 1
     assert worst_case_substitution(proto1)[0] == 1
+
+
+# -- the counting kernel against the run pipeline and the oracle ----------------
+
+
+@st.composite
+def small_tables(draw):
+    """TableFamily with at most 4 keys, 3 messages and 2-bit tags."""
+    m = draw(st.integers(1, 2))
+    nx = draw(st.integers(1, 3))
+    kc = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=nx, max_size=nx),
+                         min_size=kc, max_size=kc))
+    return TableFamily(list(range(nx)), rows, m=m)
+
+
+small_targets = st.one_of(
+    small_tables(), st.sampled_from([counterexample_protocol(1), counterexample_protocol(2)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(target=small_targets, recycle=st.booleans())
+def test_impersonation_search_is_first_argmax_of_direct_runs(target, recycle):
+    proto = as_protocol(target, recycle)
+    runs = [(uc_distance(proto, EnvStrategy.impersonate(w)), w) for w in proto.wire_values()]
+    top = max(d for d, _ in runs)
+    first = next(w for d, w in runs if d == top)
+    assert worst_case_impersonation(target, recycle=recycle) == \
+        (top, EnvStrategy.impersonate(first))
+
+
+def substitution_distance(target, recycle, x, subst):
+    """The oracle for hash families; protocols have no oracle, so a direct run."""
+    if isinstance(target, TableFamily):
+        return substitution_tv_oracle(target, x, subst, recycle)
+    return uc_distance(target, EnvStrategy.substitute(x, subst))
+
+
+def reachable_wires(proto, x):
+    return sorted({proto.encode(key, x) for key in proto.keys()})
+
+
+def every_map_maximum(target, recycle):
+    """Max distance over every message and every map of its reachable wires."""
+    proto = as_protocol(target, recycle)
+    wires = proto.wire_values()
+    best = F(0)
+    for x in proto.messages:
+        reachable = reachable_wires(proto, x)
+        for choice in itertools.product(wires, repeat=len(reachable)):
+            best = max(best, substitution_distance(target, recycle, x,
+                                                   dict(zip(reachable, choice))))
+    return best
+
+
+def canonical_witness(target, recycle):
+    """The documented tie-breaks: per observed wire the first best replacement
+    in wire order (none if nothing gains), then the first best message."""
+    proto = as_protocol(target, recycle)
+    wires = proto.wire_values()
+    best = None
+    for x in proto.messages:
+        total, subst = F(0), {}
+        for y in reachable_wires(proto, x):
+            gains = [substitution_distance(target, recycle, x, {y: yp}) for yp in wires]
+            if max(gains) > 0:
+                subst[y] = wires[gains.index(max(gains))]
+                total += max(gains)
+        if best is None or total > best[0]:
+            best = (total, EnvStrategy.substitute(x, subst))
+    return best
+
+
+def check_substitution_search(target, recycle):
+    d, env = worst_case_substitution(target, recycle=recycle)
+    assert d == every_map_maximum(target, recycle)
+    assert (d, env) == canonical_witness(target, recycle)
+
+
+@settings(max_examples=25, deadline=None)
+@given(fam=small_tables(), recycle=st.booleans())
+def test_substitution_search_is_maximum_over_every_map(fam, recycle):
+    check_substitution_search(fam, recycle)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_counterexample_substitution_search_is_maximum_over_every_map(m):
+    # the protocol has no recycled key, so the recycle flag is ignored
+    check_substitution_search(counterexample_protocol(m), recycle=False)
+
+
+def test_searches_raise_when_the_witness_rerun_disagrees(monkeypatch):
+    monkeypatch.setattr(ucsim, "uc_distance", lambda *args, **kwargs: F(7, 3))
+    with pytest.raises(VerificationFailed):
+        worst_case_substitution(MulFamily(2), recycle=True)
+    with pytest.raises(VerificationFailed):
+        worst_case_impersonation(MulFamily(2), recycle=True)
 
 
 def test_standard_mode_bounded_by_asu2(table16):
