@@ -6,8 +6,11 @@ the tag space in a fixed order.  The forgery is accepted in round i exactly
 when c_i equals the key's hash difference c(k1) = h_{k1}(x) ^ h_{k1}(x_sub);
 a rejection eliminates one candidate for good.  The one-time pads cancel out
 of every acceptance event, so the exact engine enumerates k1 only and
-integrates the pads away analytically; the Monte Carlo engine keeps them and
-simulates rounds honestly, giving an independent route to the same number.
+integrates the pads away analytically.  The Monte Carlo engine keeps the pads
+explicit: per trial it draws k1 and one pad per round, evaluates h_{k1} on x
+and x_sub once, and plays the rounds on the masked tags.  It draws what
+sample_transcript draws, which runs every round through authenticate and
+verify, and the tests hold the two to the same hit count on every seed.
 
 For a family whose two-point XOR bound is exactly 1/|T| the difference
 c(k1) is uniform over the tag space, which pins everything down:
@@ -29,6 +32,7 @@ tests check by brute-force enumeration over all pad vectors.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +41,7 @@ from typing import NamedTuple
 from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
 from .families import HashFamily
 from .measure import measure_axu2
-from .protocol import AuthKey, KeyStream, TaggedMessage, authenticate, verify
+from .protocol import KeyStream, TaggedMessage, authenticate, verify
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -98,8 +102,6 @@ class ExactEntropy:
         return self._make(self.rational * by, {p: c * by for p, c in self.terms})
 
     def __float__(self) -> float:
-        import math
-
         return float(self.rational) + sum(float(c) * math.log2(p) for p, c in self.terms)
 
 
@@ -168,7 +170,12 @@ def _attack_pair(fam: HashFamily):
     return fam.messages[0], fam.messages[1]
 
 
-def _require_uniform_difference(fam: HashFamily, budget: int) -> None:
+def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
+    """Keys per hash-difference value of the canonical message pair.
+
+    Refuses families whose two-point bound is not 1/|T|: the per-round
+    analysis rests on the difference being uniform.
+    """
     eps = measure_axu2(fam, budget=budget).epsilon
     want = Fraction(1, fam.tag_count)
     if eps != want:
@@ -176,10 +183,6 @@ def _require_uniform_difference(fam: HashFamily, budget: int) -> None:
             f"{fam.descriptor()} has two-point bound {eps}, not 1/|T| = {want}; "
             "the per-round elimination analysis does not apply"
         )
-
-
-def _difference_counts(fam: HashFamily) -> list[int]:
-    """Count keys per hash-difference value for the canonical message pair."""
     x, xp = _attack_pair(fam)
     counts = [0] * fam.tag_count
     for k in fam.keys():
@@ -187,29 +190,32 @@ def _difference_counts(fam: HashFamily) -> list[int]:
     return counts
 
 
+def _conditionals(counts: list[int], nk: int, rounds: int) -> list[Fraction]:
+    """P(success in round i+1 | failure through round i) for i < rounds."""
+    out = []
+    remaining = nk
+    for c in counts[:rounds]:
+        out.append(Fraction(c, remaining))
+        remaining -= c
+    return out
+
+
 def run_attack_exact(fam: HashFamily, rounds: int,
                      budget: int = DEFAULT_BUDGET) -> AttackReport:
     """Exact success and leakage accounting; pads integrated out."""
     if not 1 <= rounds <= fam.tag_count:
         raise DomainError(f"rounds must be in 1..{fam.tag_count}")
-    _require_uniform_difference(fam, budget)
+    counts = _difference_counts(fam, budget)
     x, xp = _attack_pair(fam)
-    counts = _difference_counts(fam)
     nk = fam.key_count
-    hit = sum(counts[:rounds])
-    conditionals = []
-    remaining = nk
-    for i in range(rounds):
-        conditionals.append(Fraction(counts[i], remaining))
-        remaining -= counts[i]
-    computed, formula = posterior_entropy(fam, rounds, budget=budget)
+    computed, formula = _posterior_entropy(fam, counts, rounds)
     return AttackReport(
         rounds=rounds,
         x=x,
         x_sub=xp,
-        success_prob=Fraction(hit, nk),
+        success_prob=Fraction(sum(counts[:rounds]), nk),
         success_formula=Fraction(rounds, fam.tag_count),
-        per_round_conditional=tuple(conditionals),
+        per_round_conditional=tuple(_conditionals(counts, nk, rounds)),
         entropy_bits=computed,
         entropy_formula_bits=formula,
     )
@@ -228,8 +234,11 @@ def posterior_entropy(fam: HashFamily, rounds: int,
     """
     if not 0 <= rounds <= fam.tag_count:
         raise DomainError(f"rounds must be in 0..{fam.tag_count}")
-    _require_uniform_difference(fam, budget)
-    counts = _difference_counts(fam)
+    return _posterior_entropy(fam, _difference_counts(fam, budget), rounds)
+
+
+def _posterior_entropy(fam: HashFamily, counts: list[int],
+                       rounds: int) -> tuple[ExactEntropy, ExactEntropy]:
     nk = fam.key_count
     tc = fam.tag_count
     computed = ExactEntropy()
@@ -258,16 +267,10 @@ def success_recurrence(fam: HashFamily, l_max: int,
     Requires l_max <= |T| - 1 so the conditioning event has positive
     probability throughout.
     """
-    _require_uniform_difference(fam, budget)
+    counts = _difference_counts(fam, budget)
     if not 0 <= l_max <= fam.tag_count - 1:
         raise DomainError(f"l_max must be in 0..{fam.tag_count - 1}")
-    counts = _difference_counts(fam)
-    out = []
-    remaining = fam.key_count
-    for i in range(l_max + 1):
-        out.append(Fraction(counts[i], remaining))
-        remaining -= counts[i]
-    return out
+    return _conditionals(counts, fam.key_count, l_max + 1)
 
 
 def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random,
@@ -293,32 +296,38 @@ def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random,
 
 
 def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
-                          seed: int = 0) -> MonteCarloReport:
+                          seed: int = 0, budget: int = DEFAULT_BUDGET) -> MonteCarloReport:
     """Simulate the attack with pseudorandom keys and pads.
 
-    A cross-check of the exact engine through the ordinary protocol code
-    path; nothing here integrates the pads out.
+    A cross-check of the exact engine that keeps the pads explicit.  Each
+    trial draws k1 and then one pad per round, as sample_transcript does, so
+    a seed gives the hits of that many sample_transcript runs on
+    random.Random(seed).  k1 is fixed within a trial, so h_{k1} is evaluated
+    once per trial; round i sends t = h_{k1}(x) ^ pad and the forgery
+    (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i.  Each round
+    of each trial is a cell of the budget.
     """
     if not 1 <= rounds <= fam.tag_count:
         raise DomainError(f"rounds must be in 1..{fam.tag_count}")
     if trials < 1:
         raise DomainError("need at least one trial")
+    work = trials * rounds
+    if work > budget:
+        raise BudgetExceeded(
+            f"Monte Carlo attack needs {work} cells, budget is {budget}")
     rng = random.Random(seed)
     x, x_sub = _attack_pair(fam)
-    kc, tc, tb = fam.key_count, fam.tag_count, fam.tag_bits
+    kc, tc = fam.key_count, fam.tag_count
     hits = 0
     for _ in range(trials):
         k1 = rng.randrange(kc)
-        pads = tuple(rng.randrange(tc) for _ in range(rounds))
-        ks = KeyStream(k1, pads, tb)
-        for i in range(rounds):
-            key = ks.next_key()
-            ym = authenticate(fam, key, x)
-            if verify(fam, key, TaggedMessage(x_sub, ym.t ^ i)) is not None:
+        pads = [rng.randrange(tc) for _ in range(rounds)]
+        hx, hs = fam.tag(k1, x), fam.tag(k1, x_sub)
+        for i, pad in enumerate(pads):
+            t = hx ^ pad
+            if hs ^ pad == t ^ i:
                 hits += 1
                 break
-    import math
-
     rate = Fraction(hits, trials)
     expected = Fraction(rounds, tc)
     p = float(rate)

@@ -5,8 +5,9 @@ fieldtab.  Output goes to stdout or --out, as JSON (sorted keys) or CSV, and
 is byte-identical across runs for identical arguments: all randomness flows
 from --seed and nothing timestamps or orders nondeterministically.
 
-Exit codes: 0 success, 1 exact-mode budget refusal, 2 usage errors
-(including malformed descriptors and out-of-range parameters).
+Exit codes: 0 success, 1 budget refusal (exact enumeration, Monte Carlo or
+sampling), 2 usage errors (including malformed descriptors, out-of-range
+parameters and flags that do not combine).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def cmd_epsilon(args) -> str:
     if args.sample:
         if args.kind != "axu2":
             raise DomainError("sampling is implemented for --kind axu2 only")
-        s = sample_axu2(fam, pairs=args.pairs, seed=args.seed)
+        s = sample_axu2(fam, pairs=args.pairs, seed=args.seed, budget=args.budget)
         doc = {
             "family": fam.descriptor(),
             "kind": s.kind,
@@ -119,7 +120,14 @@ def cmd_epsilon(args) -> str:
     return _dump_json(doc)
 
 
+def _reject_lift_with_recycle(args) -> None:
+    if args.lift and args.recycle:
+        raise DomainError("--lift selects the standard mode; it cannot be combined "
+                          "with --recycle")
+
+
 def cmd_uc_distance(args) -> str:
+    _reject_lift_with_recycle(args)
     fam = parse_family(args.family)
     if args.recycle:
         eps = measure_axu2(fam, budget=args.budget).epsilon
@@ -163,8 +171,9 @@ def _parse_wire(fam, text: str):
 
 
 def cmd_impersonate(args) -> str:
+    _reject_lift_with_recycle(args)
     fam = parse_family(args.family)
-    target = lift_to_asu2(fam) if (args.lift and not args.recycle) else fam
+    target = lift_to_asu2(fam) if args.lift else fam
     if args.inject is not None:
         wire = _parse_wire(target, args.inject)
         d = ucsim.impersonation_distance(target, wire, recycle=args.recycle,
@@ -191,7 +200,8 @@ def cmd_impersonate(args) -> str:
 def cmd_attack(args) -> str:
     fam = parse_family(args.family)
     if args.montecarlo:
-        rep = run_attack_montecarlo(fam, args.rounds, trials=args.trials, seed=args.seed)
+        rep = run_attack_montecarlo(fam, args.rounds, trials=args.trials, seed=args.seed,
+                                    budget=args.budget)
         doc = {
             "family": fam.descriptor(),
             "rounds": rep.rounds,
@@ -337,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="mul:m=M | poly:m=M,L=L | toeplitz:n=N,m=M | "
                                  "table:@file.json | counterexample:m=M")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="exact-enumeration cell budget")
+                        help="cell budget of exact enumeration, Monte Carlo and sampling")
         sp.add_argument("--seed", type=int, default=0, help="PRNG seed")
         sp.add_argument("--out", default=None, help="write output to this file")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
@@ -365,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("impersonate", help="inject a wire message before any round")
     common(sp)
     sp.add_argument("--recycle", action="store_true")
-    sp.add_argument("--lift", action="store_true")
+    sp.add_argument("--lift", action="store_true",
+                    help="in standard mode, run on the pad-keyed lift")
     sp.add_argument("--inject", default=None,
                     help="wire message as 'msgint,tag'; omit to search the worst case")
     sp.set_defaults(handler=cmd_impersonate, default_format="json")

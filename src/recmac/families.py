@@ -48,6 +48,7 @@ class HashFamily:
     def __init__(self) -> None:
         self._msg_index: dict | None = None
         self._table: list[list[int]] | None = None
+        self._axu2 = None  # measure.measure_axu2's result, computed once
 
     # -- spaces ------------------------------------------------------------
 

@@ -24,8 +24,9 @@ a pair.  That collapses |X|^2 pair work to |X| difference work with no loss
 of exactness; the tests hold the shortcut to the naive pair loop.
 
 Enumerations refuse to start if they would exceed the cell budget; sampling
-is a separate entry point (sample_axu2) that must be requested explicitly
-and reports a certified lower bound with its coverage.
+is a separate entry point (sample_axu2) that must be requested explicitly,
+is held to the same budget, and reports a certified lower bound with its
+coverage.
 """
 
 from __future__ import annotations
@@ -69,7 +70,12 @@ def _axu2_work(fam: HashFamily) -> int:
 
 
 def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
-    """Exact two-point XOR-collision bound with witness (x1, x2, t)."""
+    """Exact two-point XOR-collision bound with witness (x1, x2, t).
+
+    The result is computed once per family instance and cached on it, next
+    to its tag table.  The budget check runs on every call before the cache
+    is read, so whether a call refuses never depends on earlier calls.
+    """
     if len(fam.messages) < 2:
         return Measurement("axu2", Fraction(0), None)
     work = _axu2_work(fam)
@@ -78,6 +84,12 @@ def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
             f"exact axu2 for {fam.descriptor()} needs {work} cells, budget is "
             f"{budget}; request sampling explicitly via sample_axu2"
         )
+    if fam._axu2 is None:
+        fam._axu2 = _axu2(fam)
+    return fam._axu2
+
+
+def _axu2(fam: HashFamily) -> Measurement:
     best = -1
     witness = None
     if _linear_ok(fam):
@@ -142,7 +154,8 @@ def tag_marginal(fam: HashFamily, x) -> dict[int, Fraction]:
     return {t: Fraction(c, fam.key_count) for t, c in enumerate(counts)}
 
 
-def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0) -> SampledMeasurement:
+def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0,
+                budget: int = DEFAULT_BUDGET) -> SampledMeasurement:
     """Randomized lower-bound estimate of the axu2 measure.
 
     Samples message pairs; for each sampled pair the collision probability is
@@ -151,9 +164,16 @@ def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0) -> SampledMea
     happen to include a maximizing one.  The interval widens the point value
     by the binomial 3-sigma width it would carry if the keys had been sampled
     rather than enumerated; it is advisory, the bound itself is exact.
+    Each sampled pair costs one cell per key, and the total is held to the
+    budget like every exact enumeration.
     """
     if pairs < 1:
         raise DomainError(f"need at least one sampled pair, got {pairs}")
+    work = pairs * fam.key_count
+    if work > budget:
+        raise BudgetExceeded(
+            f"sampling {pairs} pairs of {fam.descriptor()} needs {work} cells, "
+            f"budget is {budget}")
     if len(fam.messages) < 2:
         return SampledMeasurement("axu2", Fraction(0), (0.0, 0.0), 0, Fraction(1), seed, None)
     rng = random.Random(seed)

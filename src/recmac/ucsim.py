@@ -87,11 +87,11 @@ class AuthProtocol:
 class WcProtocol(AuthProtocol):
     """(x, h_{k1}(x) ^ k2) with k1 recycled, or (x, h_k(x)) without a pad."""
 
-    def __init__(self, fam: HashFamily, recycle: bool):
+    def __init__(self, fam: HashFamily, recycle: bool, budget: int = DEFAULT_BUDGET):
         self.fam = fam
         self.recycles = recycle
         self.messages = fam.messages
-        self._tab = fam.tag_table()
+        self._tab = fam.tag_table(budget)
         self._idx = {x: i for i, x in enumerate(fam.messages)}
 
     def keys(self):
@@ -191,11 +191,12 @@ def counterexample_protocol(m: int) -> CounterexampleProtocol:
     return CounterexampleProtocol(m)
 
 
-def as_protocol(fam_or_proto, recycle: bool = False) -> AuthProtocol:
+def as_protocol(fam_or_proto, recycle: bool = False,
+                budget: int = DEFAULT_BUDGET) -> AuthProtocol:
     if isinstance(fam_or_proto, AuthProtocol):
         return fam_or_proto
     if isinstance(fam_or_proto, HashFamily):
-        return WcProtocol(fam_or_proto, recycle)
+        return WcProtocol(fam_or_proto, recycle, budget)
     raise DomainError(f"not a family or protocol: {fam_or_proto!r}")
 
 
@@ -336,13 +337,26 @@ def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,
     return uc_distance(fam_or_proto, EnvStrategy.impersonate(wire), recycle, budget)
 
 
-def _search_budget(proto: AuthProtocol, budget: int) -> tuple[list, list]:
-    keys = list(proto.keys())
-    wire = proto.wire_values()
-    work = len(proto.messages) * len(keys) * (1 + len(wire))
+def _search_budget(fam_or_proto, recycle: bool,
+                  budget: int) -> tuple[AuthProtocol, list, list]:
+    """The protocol a worst-case search runs on, its keys and wire values.
+
+    For a family the work is counted from its sizes before the tag table and
+    the key list are built, so a refused search builds neither.
+    """
+    if isinstance(fam_or_proto, HashFamily):
+        fam = fam_or_proto
+        nx = len(fam.messages)
+        nkeys = fam.key_count * (fam.tag_count if recycle else 1)
+        nwire = nx * fam.tag_count
+    else:
+        proto = as_protocol(fam_or_proto)
+        nx, nkeys, nwire = len(proto.messages), len(proto.keys()), len(proto.wire_values())
+    work = nx * nkeys * (1 + nwire)
     if work > budget:
         raise BudgetExceeded(f"worst-case search needs {work} cells, budget is {budget}")
-    return keys, wire
+    proto = as_protocol(fam_or_proto, recycle, budget)
+    return proto, list(proto.keys()), proto.wire_values()
 
 
 def _tv_numerator(cells: Mapping[tuple, int], out0, n: int, nr: int) -> int:
@@ -387,8 +401,7 @@ def worst_case_substitution(fam_or_proto, recycle: bool = False,
     nothing either (module docstring); the returned distance is recomputed
     from the witness via the ordinary run pipeline.
     """
-    proto = as_protocol(fam_or_proto, recycle)
-    keys, wire = _search_budget(proto, budget)
+    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
     rec, nr = _recycling(proto, keys)
     groups = []  # (x, y, indices of the keys sending y on x), y ascending per x
     spans = []   # (x, its first group, the group after its last)
@@ -426,8 +439,7 @@ def worst_case_impersonation(fam_or_proto, recycle: bool = False,
     The ideal receiver rejects every injection, so the kernel compares the
     real (out, k1) counts over all keys with out0 = None.
     """
-    proto = as_protocol(fam_or_proto, recycle)
-    keys, wire = _search_budget(proto, budget)
+    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
     rec, nr = _recycling(proto, keys)
     best, best_yp = -1, None
     for yp in wire:
@@ -445,9 +457,8 @@ def worst_case_distance(fam_or_proto, recycle: bool = False,
 
     Substitution wins ties so the richer witness is reported.
     """
-    proto = as_protocol(fam_or_proto, recycle)
-    d_sub, env_sub = worst_case_substitution(proto, budget=budget)
-    d_imp, env_imp = worst_case_impersonation(proto, budget=budget)
+    d_sub, env_sub = worst_case_substitution(fam_or_proto, recycle, budget)
+    d_imp, env_imp = worst_case_impersonation(fam_or_proto, recycle, budget)
     if d_imp > d_sub:
         return d_imp, env_imp
     return d_sub, env_sub

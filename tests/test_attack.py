@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from recmac import (
     AuthKey,
+    BudgetExceeded,
     CounterexampleFamily,
     DomainError,
     ExactEntropy,
@@ -273,3 +274,24 @@ def test_montecarlo_matches_exact_engine_loosely():
     p = float(exact)
     sigma = math.sqrt(p * (1 - p) / mc.trials)
     assert abs(float(mc.rate) - p) <= 3 * sigma
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("fam", [MulFamily(2), MulFamily(3), build_table16()],
+                         ids=lambda f: f.descriptor())
+def test_montecarlo_hits_match_sample_transcript(fam, seed):
+    # Both draw k1 and then one pad per round, so on the same seed every trial
+    # of the per-trial engine replays one protocol-path transcript.
+    trials = 400
+    for rounds in sorted({1, 2, fam.tag_count - 1, fam.tag_count}):
+        rng = random.Random(seed)
+        accepting = sum(any(r.accepted for r in sample_transcript(fam, rounds, rng).rounds)
+                        for _ in range(trials))
+        assert run_attack_montecarlo(fam, rounds, trials, seed).hits == accepting
+
+
+def test_montecarlo_budget_counts_every_round():
+    fam = MulFamily(4)
+    assert run_attack_montecarlo(fam, 2, trials=10, budget=20).trials == 10
+    with pytest.raises(BudgetExceeded, match="Monte Carlo"):
+        run_attack_montecarlo(fam, 2, trials=10, budget=19)

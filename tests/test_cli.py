@@ -173,6 +173,26 @@ def test_sampling_without_pairs_is_a_usage_error(capsys):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["uc-distance", "impersonate"])
+def test_lift_with_recycle_is_a_usage_error(capsys, command):
+    assert run_main(command, "--family", "mul:m=2", "--recycle", "--lift") == 2
+    assert one_error_line(capsys)
+
+
+def one_refusal_line(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("recmac: budget refusal: ") and err.count("\n") == 1
+
+
+def test_montecarlo_and_sampling_refuse_over_budget(capsys):
+    assert run_main("attack", "--family", "mul:m=4", "--rounds", "2", "--montecarlo",
+                    "--budget", "1") == 1
+    assert one_refusal_line(capsys)
+    assert run_main("epsilon", "--family", "mul:m=3", "--sample", "--pairs", "10",
+                    "--budget", "79") == 1
+    assert one_refusal_line(capsys)
+
+
 @pytest.mark.parametrize("table", [[["a", 1], [1, 0]], [[True, 1], [1, 0]]],
                          ids=["string", "bool"])
 def test_table_with_non_integer_tags_is_a_usage_error(tmp_path, capsys, table):

@@ -130,6 +130,34 @@ def test_sampling_is_deterministic_and_below_exact():
     assert F(hits, fam.key_count) == a.epsilon_estimate
 
 
+def test_axu2_is_computed_once_per_family():
+    fam = MulFamily(3)
+    first = measure_axu2(fam)
+    assert measure_axu2(fam) is first
+    assert measure_axu2(fam) == measure_axu2(MulFamily(3))
+
+
+def test_cached_axu2_still_checks_the_budget():
+    fam = MulFamily(4)
+    measure_axu2(fam)
+    with pytest.raises(BudgetExceeded, match="sample_axu2"):
+        measure_axu2(fam, budget=10)
+
+
+def test_axu2_cache_is_per_instance():
+    a, b = MulFamily(3), MulFamily(3)
+    measure_axu2(a)
+    assert a._axu2 is not None
+    assert b._axu2 is None
+
+
+def test_sampling_is_held_to_the_budget():
+    fam = MulFamily(3)   # 8 keys: one cell per key per sampled pair
+    assert sample_axu2(fam, pairs=3, budget=24).pairs_sampled == 3
+    with pytest.raises(BudgetExceeded):
+        sample_axu2(fam, pairs=3, budget=23)
+
+
 @pytest.mark.parametrize("pairs", [0, -3])
 def test_sampling_needs_at_least_one_pair(pairs):
     with pytest.raises(DomainError):

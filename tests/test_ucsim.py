@@ -396,6 +396,25 @@ def test_budget_refusals():
         worst_case_impersonation(fam, recycle=True, budget=10)
 
 
+def test_search_budget_threshold_is_the_cell_count():
+    # |X| * |keys| * (1 + |wire|): mul:m=2 recycled has 4 * 16 * (1 + 16) cells,
+    # the counterexample protocol 2 * 6 * (1 + 8)
+    for target, recycle, work in ((MulFamily(2), True, 1088),
+                                  (counterexample_protocol(2), False, 108)):
+        for search in (worst_case_substitution, worst_case_impersonation):
+            search(target, recycle=recycle, budget=work)
+            with pytest.raises(BudgetExceeded, match=f"needs {work} cells"):
+                search(target, recycle=recycle, budget=work - 1)
+
+
+def test_refused_search_builds_nothing():
+    fam = ToeplitzFamily(7, 7)   # 2^13 keys x 128 messages
+    for search in (worst_case_substitution, worst_case_impersonation, worst_case_distance):
+        with pytest.raises(BudgetExceeded, match="worst-case search needs"):
+            search(fam, recycle=True, budget=10)
+        assert fam._table is None
+
+
 def test_schema_mismatch_between_modes():
     fam = MulFamily(2)
     env = EnvStrategy.substitute(0, {})
