@@ -15,6 +15,7 @@ from recmac import (
     BudgetExceeded,
     LIST_ELIMINATION,
     ToyQkdFunctionality,
+    VerificationFailed,
     compose_ledger,
     measure_axu2,
     parse_family,
@@ -42,7 +43,8 @@ def main() -> int:
         for l in range(1, args.max_rounds + 1):
             qkd = ToyQkdFunctionality(l * fam.tag_bits, eps_prime)
             ledger, bound = compose_ledger(fam, r, l, qkd)
-            assert ledger.total == bound
+            if ledger.total != bound:
+                raise VerificationFailed(f"ledger sums to {ledger.total}, not {bound}")
             try:
                 sim = simulate_composition(fam, r, l, env=LIST_ELIMINATION)
             except BudgetExceeded:
@@ -50,7 +52,8 @@ def main() -> int:
                 continue
             # the simulated environment spends no qkd failures, so its
             # distance must sit under the hash part of the ledger alone
-            assert sim <= min(Fraction(1), r * l * eps)
+            if sim > min(Fraction(1), r * l * eps):
+                raise VerificationFailed(f"r={r} l={l}: simulated {sim} exceeds r*l*eps")
             slack = bound - sim
             print(f"{r:>3}{l:>3}{str(bound):>16}{str(sim):>14}"
                   f"{str(slack):>12}")

@@ -14,6 +14,7 @@ from recmac import (
     MulFamily,
     PolyFamily,
     ToeplitzFamily,
+    VerificationFailed,
     lift_to_asu2,
     measure_asu2,
     measure_axu2,
@@ -46,11 +47,14 @@ def main() -> int:
         tight = "yes" if meas.epsilon == bound else "no"
         row = (f"{fam.descriptor():<18}{len(fam.messages):>6}{fam.key_count:>7}"
                f"{fam.tag_count:>5}{str(meas.epsilon):>10}{str(bound):>10}  {tight}")
-        assert meas.epsilon <= bound
+        if meas.epsilon > bound:
+            raise VerificationFailed(f"{fam.descriptor()}: eps {meas.epsilon} > {bound}")
         if args.sample and len(fam.messages) > 1:
             est = sample_axu2(fam, pairs=args.pairs, seed=args.seed)
             row += f"   sampled {est.epsilon_estimate}"
-            assert est.epsilon_estimate <= meas.epsilon
+            if est.epsilon_estimate > meas.epsilon:
+                raise VerificationFailed(
+                    f"{fam.descriptor()}: sampled {est.epsilon_estimate} > exact {meas.epsilon}")
         print(row)
 
     print()
@@ -61,7 +65,8 @@ def main() -> int:
         lifted = lift_to_asu2(base)
         a = measure_axu2(base).epsilon
         s = measure_asu2(lifted).epsilon
-        assert a == s
+        if a != s:
+            raise VerificationFailed(f"{base.descriptor()}: lifted asu2 {s} != axu2 {a}")
         print(f"  {base.descriptor():<10} axu2 {str(a):>8}   "
               f"lifted asu2 {str(s):>8}")
     return 0

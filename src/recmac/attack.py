@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -106,14 +107,16 @@ class ExactEntropy:
 
 
 def entropy_of(probs: list[Fraction]) -> ExactEntropy:
-    """Shannon entropy in bits of an explicit distribution, exactly."""
+    """Shannon entropy in bits of an explicit distribution, exactly.
+
+    Equal masses are summed once, as count * p * log2(1/p); the
+    representation is canonical, so this is the per-term sum.
+    """
+    if any(p < 0 for p in probs):
+        raise ValueError("negative probability")
     total = ExactEntropy()
-    for p in probs:
-        if p < 0:
-            raise ValueError("negative probability")
-        if p == 0:
-            continue
-        total = total + ExactEntropy.log2(1 / p).scaled(p)
+    for p, c in Counter(p for p in probs if p != 0).items():
+        total = total + ExactEntropy.log2(1 / p).scaled(Fraction(p) * c)
     return total
 
 

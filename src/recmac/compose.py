@@ -13,15 +13,18 @@ where eps is the measured two-point bound of the family.  The ledger never
 does anything cleverer than that sum; its value is that the exact multi-round
 simulation below can be held against it.
 
-simulate_composition() enumerates the full joint distribution of the
-multi-round real execution (one k1 throughout, fresh uniform pads per
-round, the list-elimination environment carrying its candidate list across
-all rounds and across key-refresh boundaries) against the fully ideal
-execution, and returns the exact distance.  For the list-elimination
-environment on a 1/|T|-bounded family this comes out at exactly
-min(1, r*l/|T|), matching the attack success probability: the additive
-ledger is tight, up to the declared eps' terms, which the simulation treats
-as zero by taking the key source ideal.
+simulate_composition() computes the exact distance between the multi-round
+real execution (one k1 throughout, fresh uniform pads per round, the
+list-elimination environment carrying its candidate list across all rounds
+and across key-refresh boundaries) and the fully ideal execution.  The
+distance is defined over outcomes (tag vector, receiver outputs, k1), but
+the padded tags are uniform and independent of (outputs, k1) in both worlds,
+so every tag vector carries the same weight on both sides and drops out:
+the distance is the share of keys k1 whose real outputs differ from the
+ideal ones.  For the list-elimination environment on a 1/|T|-bounded family
+this comes out at exactly min(1, r*l/|T|), matching the attack success
+probability: the additive ledger is tight, up to the declared eps' terms,
+which the simulation treats as zero by taking the key source ideal.
 
 The environment substitutes every round until its first success, then turns
 honest; in the ideal world no forgery is ever accepted, so there it
@@ -30,11 +33,9 @@ substitutes for as long as it has candidates.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dist import Dist, statistical_distance
 from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
 from .families import HashFamily
 from .measure import measure_axu2
@@ -105,9 +106,14 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
                          budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact real-vs-ideal distance of the full multi-round execution.
 
-    Outcomes are (tag vector, per-round receiver outputs, recycled k1); the
-    pads make the tag vector uniform in both worlds, and in the real world
-    the acceptance pattern is a function of k1's hash difference alone.
+    Outcomes are (tag vector, per-round receiver outputs, recycled k1), and
+    the budget counts that outcome space, kc * tc**n cells for n = r*l
+    authentications.  The pads make the tag vector uniform and independent
+    of (outputs, k1) in both worlds, so each world puts weight
+    U(tags) * P(outputs, k1) on every outcome and the tags integrate out of
+    the distance exactly.  Both worlds are deterministic given k1, so the
+    distance is #{k1 : real outputs != ideal outputs} / kc, found by playing
+    the environment once per key: kc * n steps.
     """
     if env not in (LIST_ELIMINATION, IDENTITY):
         raise DomainError(f"unknown environment {env!r}")
@@ -118,44 +124,32 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
     work = kc * tc ** n
     if work > budget:
         raise BudgetExceeded(
-            f"multi-round enumeration needs {work} cells, budget is {budget}"
+            f"multi-round outcome space has {work} cells, budget is {budget}"
         )
     if len(fam.messages) < 2:
         raise DomainError("need two messages to substitute")
     x, xp = fam.messages[0], fam.messages[1]
     cs = [fam._tag(k, x) ^ fam._tag(k, xp) for k in fam.keys()]
-    fields = ("tags", "outs", "k1")
-    unit = Fraction(1, kc * tc ** n)
+    if env == IDENTITY:
+        ideal = tuple([x] * n)
+    else:
+        ideal = tuple([None] * min(n, tc) + [x] * max(0, n - tc))
 
-    real: dict[tuple, Fraction] = {}
+    differ = 0
     for k1 in range(kc):
-        outs_honest: list = []
+        outs = []
         gi = 0
         succeeded = False
         for _ in range(n):
             if env == IDENTITY or succeeded or gi >= tc:
-                outs_honest.append(x)
+                outs.append(x)
             else:
                 guess = gi
                 gi += 1
                 if cs[k1] == guess:
-                    outs_honest.append(xp)
+                    outs.append(xp)
                     succeeded = True
                 else:
-                    outs_honest.append(None)
-        outs = tuple(outs_honest)
-        for tags in itertools.product(range(tc), repeat=n):
-            real[(tags, outs, k1)] = unit
-    real_dist = Dist(fields, real)
-
-    ideal: dict[tuple, Fraction] = {}
-    if env == IDENTITY:
-        outs = tuple([x] * n)
-    else:
-        outs = tuple([None] * min(n, tc) + [x] * max(0, n - tc))
-    for k1 in range(kc):
-        for tags in itertools.product(range(tc), repeat=n):
-            ideal[(tags, outs, k1)] = unit
-    ideal_dist = Dist(fields, ideal)
-
-    return statistical_distance(real_dist, ideal_dist)
+                    outs.append(None)
+        differ += tuple(outs) != ideal
+    return Fraction(differ, kc)

@@ -1,9 +1,10 @@
 """Shared exception types and the default enumeration budget.
 
 Everything in this package that claims exactness gets it by enumerating a
-finite space (keys, message pairs, tag vectors).  DEFAULT_BUDGET caps how
-many cells such an enumeration may touch before the exact path refuses and
-the caller has to ask for sampling explicitly.
+finite space (keys, message pairs, wire messages, the outcome space of a
+composed run).  DEFAULT_BUDGET caps how many cells such a space may have
+before the exact path refuses and the caller has to ask for sampling
+explicitly.
 """
 
 DEFAULT_BUDGET = 2 ** 24

@@ -8,11 +8,12 @@ obviously, so a library bug cannot hide in a shared helper.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from recmac import MulFamily, TableFamily, lift_to_asu2
+from recmac import LIST_ELIMINATION, MulFamily, TableFamily, lift_to_asu2
 
 
 # -- GF(2)[x] schoolbook arithmetic -------------------------------------------
@@ -165,6 +166,52 @@ def impersonation_tv_oracle(fam, wire: tuple, recycle: bool) -> Fraction:
     for cell in real.keys() | ideal.keys():
         diff += abs(real.get(cell, 0) - ideal.get(cell, 0))
     return Fraction(diff, 2 * denom)
+
+
+# -- composition oracle -------------------------------------------------------
+#
+# The multi-round game with every pad drawn explicitly.  One k1 serves all
+# n = r*l rounds and each round has a fresh pad; round i sends
+# t = h_k1(x) ^ pad_i.  The list-elimination environment forges
+# (x_sub, t ^ guess) with guess = 0, 1, ... while it has an untried guess and
+# no forgery has been accepted, and delivers (x, t) otherwise; the identity
+# environment always delivers.  The real receiver accepts (x', t') iff
+# h_k1(x') ^ pad_i == t'; the ideal one accepts only unmodified delivery.
+# Both worlds are counted over every (k1, pad vector) as (tags, outs, k1).
+
+
+def composition_tv_oracle(fam, r: int, l: int, env: str) -> Fraction:
+    x, x_sub = fam.messages[0], fam.messages[1]
+    n = r * l
+    tc = fam.tag_count
+    worlds: dict[str, dict[tuple, int]] = {"real": {}, "ideal": {}}
+    for world, counts in worlds.items():
+        for k1 in fam.keys():
+            for pads in itertools.product(range(tc), repeat=n):
+                tags, outs = [], []
+                guess = 0
+                forged = False
+                for pad in pads:
+                    t = fam.tag(k1, x) ^ pad
+                    tags.append(t)
+                    if env == LIST_ELIMINATION and not forged and guess < tc:
+                        wire = (x_sub, t ^ guess)
+                        guess += 1
+                    else:
+                        wire = (x, t)
+                    if world == "real":
+                        ok = fam.tag(k1, wire[0]) ^ pad == wire[1]
+                    else:
+                        ok = wire == (x, t)
+                    outs.append(wire[0] if ok else None)
+                    forged = forged or (ok and wire != (x, t))
+                cell = (tuple(tags), tuple(outs), k1)
+                counts[cell] = counts.get(cell, 0) + 1
+    real, ideal = worlds["real"], worlds["ideal"]
+    diff = 0
+    for cell in real.keys() | ideal.keys():
+        diff += abs(real.get(cell, 0) - ideal.get(cell, 0))
+    return Fraction(diff, 2 * fam.key_count * tc ** n)
 
 
 # -- shared fixtures ------------------------------------------------------------

@@ -214,10 +214,21 @@ def test_criterion_8_composition():
         assert simulate_composition(fam, r, l, env=LIST_ELIMINATION) == \
             min(F(1), F(r * l, 4))
         assert simulate_composition(fam, r, l, env=IDENTITY) == 0
+    # past saturation on mul:m=3 (r*l up to 9 > |T| = 8), and on toeplitz
+    for fam, n_max in ((MulFamily(3), 9), (ToeplitzFamily(3, 2), 5)):
+        tc = fam.tag_count
+        for r, l in itertools.product(range(1, n_max + 1), repeat=2):
+            if r * l > n_max:
+                continue
+            budget = fam.key_count * tc ** (r * l)
+            assert simulate_composition(fam, r, l, env=LIST_ELIMINATION, budget=budget) == \
+                min(F(1), F(r * l, tc)), (fam.descriptor(), r, l)
+            assert simulate_composition(fam, r, l, env=IDENTITY, budget=budget) == 0
     dt = timed() - t0
     assert dt < 120
     print(f"criterion 8 PASS: 20 random ledgers exact, simulated distance "
-          f"min(1, r*l/4), identity 0, {dt:.2f}s")
+          f"min(1, r*l/|T|) on mul:m=2, mul:m=3 and toeplitz:n=3,m=2, identity 0, "
+          f"{dt:.2f}s")
 
 
 def test_criterion_9_cli_determinism(tmp_path):

@@ -139,6 +139,19 @@ def test_entropy_of_matches_float_formula(raw):
     assert abs(float(h) - want) < 1e-9
 
 
+@settings(max_examples=60)
+@given(st.lists(st.sampled_from([0, 1, 1, 2, 3, 6]), min_size=1, max_size=12))
+def test_entropy_of_equals_per_term_sum(raw):
+    if sum(raw) == 0:
+        raw[0] = 1
+    probs = [F(w, sum(raw)) for w in raw]
+    want = ExactEntropy()
+    for p in probs:
+        if p:
+            want = want + ExactEntropy.log2(1 / p).scaled(p)
+    assert entropy_of(probs) == want
+
+
 # -- posterior entropy ----------------------------------------------------------
 
 

@@ -1,10 +1,17 @@
 """Multi-round error ledger and the exact composed simulation."""
 
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import recmac
 from recmac import (
     BudgetExceeded,
     DomainError,
@@ -23,6 +30,9 @@ from recmac import (
     run_attack_exact,
     simulate_composition,
 )
+from recmac.cli import main as cli_main
+
+from conftest import build_table16, composition_tv_oracle
 
 
 def test_ledger_frozen_example():
@@ -121,3 +131,81 @@ def test_ledger_entry_container():
     led = ErrorLedger(entries)
     assert led.total == F(7, 20)
     assert led.cumulative() == [F(1, 10), F(7, 20)]
+
+
+# -- the simulation against the explicit-pad oracle -----------------------------
+
+
+def pairs_up_to(n_max):
+    return [(r, l) for r in range(1, n_max + 1) for l in range(1, n_max + 1)
+            if r * l <= n_max]
+
+
+@pytest.mark.parametrize("fam, n_max", [
+    (MulFamily(1), 6), (MulFamily(2), 4), (ToeplitzFamily(3, 2), 3),
+    (build_table16(), 2),
+], ids=["mul:m=1", "mul:m=2", "toeplitz:n=3,m=2", "table16"])
+def test_simulation_matches_explicit_pad_oracle(fam, n_max):
+    for r, l in pairs_up_to(n_max):
+        for env in (LIST_ELIMINATION, IDENTITY):
+            assert simulate_composition(fam, r, l, env=env) == \
+                composition_tv_oracle(fam, r, l, env), (r, l, env)
+
+
+@st.composite
+def small_tables(draw):
+    """TableFamily with at most 4 keys, 2 or 3 messages and 2-bit tags."""
+    m = draw(st.integers(1, 2))
+    nx = draw(st.integers(2, 3))
+    kc = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=nx, max_size=nx),
+                         min_size=kc, max_size=kc))
+    return TableFamily(list(range(nx)), rows, m=m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fam=small_tables(), rl=st.sampled_from(pairs_up_to(3)),
+       env=st.sampled_from([LIST_ELIMINATION, IDENTITY]))
+def test_simulation_matches_oracle_on_random_tables(fam, rl, env):
+    r, l = rl
+    assert simulate_composition(fam, r, l, env=env) == composition_tv_oracle(fam, r, l, env)
+
+
+# -- budget and memory ----------------------------------------------------------
+
+
+def test_simulation_budget_counts_the_outcome_space():
+    fam = MulFamily(2)
+    assert simulate_composition(fam, 2, 6, budget=4 * 4 ** 12) == 1
+    with pytest.raises(BudgetExceeded):
+        simulate_composition(fam, 2, 6, budget=4 * 4 ** 12 - 1)
+
+
+def test_compose_simulate_over_budget_is_one_refusal_line(capsys):
+    assert cli_main(["compose", "--family", "mul:m=2", "--r", "2", "--rounds", "6",
+                     "--simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("recmac: budget refusal: ") and err.count("\n") == 1
+
+
+def test_simulation_memory_does_not_grow_with_tag_vectors():
+    # the outcome space has 4 * 4**8 = 262144 cells; none of them is built
+    fam = MulFamily(2)
+    tracemalloc.start()
+    try:
+        d = simulate_composition(fam, 1, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == 1
+    assert peak < 1 << 20
+
+
+def test_composition_budget_script_runs():
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(recmac.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, str(repo / "scripts" / "composition_budget.py")],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert "over budget" in r.stdout
