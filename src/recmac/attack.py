@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
 from .families import HashFamily
-from .measure import measure_axu2
+from .measure import _difference_column, measure_axu2
 from .protocol import KeyStream, TaggedMessage, authenticate, verify
 
 
@@ -173,6 +173,11 @@ def _attack_pair(fam: HashFamily):
     return fam.messages[0], fam.messages[1]
 
 
+def _check_rounds(fam: HashFamily, rounds: int, least: int = 1) -> None:
+    if not least <= rounds <= fam.tag_count:
+        raise DomainError(f"rounds must be in {least}..{fam.tag_count}")
+
+
 def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
     """Keys per hash-difference value of the canonical message pair.
 
@@ -186,11 +191,8 @@ def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
             f"{fam.descriptor()} has two-point bound {eps}, not 1/|T| = {want}; "
             "the per-round elimination analysis does not apply"
         )
-    x, xp = _attack_pair(fam)
-    counts = [0] * fam.tag_count
-    for k in fam.keys():
-        counts[fam._tag(k, x) ^ fam._tag(k, xp)] += 1
-    return counts
+    counts = Counter(_difference_column(fam, *_attack_pair(fam)))
+    return [counts[t] for t in fam.tags()]
 
 
 def _conditionals(counts: list[int], nk: int, rounds: int) -> list[Fraction]:
@@ -206,9 +208,20 @@ def _conditionals(counts: list[int], nk: int, rounds: int) -> list[Fraction]:
 def run_attack_exact(fam: HashFamily, rounds: int,
                      budget: int = DEFAULT_BUDGET) -> AttackReport:
     """Exact success and leakage accounting; pads integrated out."""
-    if not 1 <= rounds <= fam.tag_count:
-        raise DomainError(f"rounds must be in 1..{fam.tag_count}")
+    _check_rounds(fam, rounds)
+    return _attack_report(fam, _difference_counts(fam, budget), rounds)
+
+
+def _attack_reports(fam: HashFamily, max_rounds: int, budget: int) -> list[AttackReport]:
+    """run_attack_exact for rounds 1..max_rounds, counting the differences once."""
+    if max_rounds < 1:
+        return []
     counts = _difference_counts(fam, budget)
+    _check_rounds(fam, max_rounds)
+    return [_attack_report(fam, counts, rounds) for rounds in range(1, max_rounds + 1)]
+
+
+def _attack_report(fam: HashFamily, counts: list[int], rounds: int) -> AttackReport:
     x, xp = _attack_pair(fam)
     nk = fam.key_count
     computed, formula = _posterior_entropy(fam, counts, rounds)
@@ -235,8 +248,7 @@ def posterior_entropy(fam: HashFamily, rounds: int,
     pattern are exhaustive.  The computed value uses the actual posterior
     probabilities; the formula is exactly the two-branch closed form.
     """
-    if not 0 <= rounds <= fam.tag_count:
-        raise DomainError(f"rounds must be in 0..{fam.tag_count}")
+    _check_rounds(fam, rounds, least=0)
     return _posterior_entropy(fam, _difference_counts(fam, budget), rounds)
 
 
@@ -245,17 +257,10 @@ def _posterior_entropy(fam: HashFamily, counts: list[int],
     nk = fam.key_count
     tc = fam.tag_count
     computed = ExactEntropy()
-    for j in range(rounds):
-        pz = Fraction(counts[j], nk)
-        if pz == 0:
-            continue
-        post = [Fraction(1, counts[j])] * counts[j]
-        computed = computed + entropy_of(post).scaled(pz)
-    fail_keys = nk - sum(counts[:rounds])
-    if fail_keys:
-        pz = Fraction(fail_keys, nk)
-        post = [Fraction(1, fail_keys)] * fail_keys
-        computed = computed + entropy_of(post).scaled(pz)
+    # A transcript class of c keys has a uniform posterior: entropy log2(c).
+    for c in [*counts[:rounds], nk - sum(counts[:rounds])]:
+        if c:
+            computed = computed + ExactEntropy.log2(c).scaled(Fraction(c, nk))
     kt = Fraction(nk, tc)
     formula = ExactEntropy.log2(kt)
     if rounds < tc:
@@ -310,8 +315,7 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i.  Each round
     of each trial is a cell of the budget.
     """
-    if not 1 <= rounds <= fam.tag_count:
-        raise DomainError(f"rounds must be in 1..{fam.tag_count}")
+    _check_rounds(fam, rounds)
     if trials < 1:
         raise DomainError("need at least one trial")
     work = trials * rounds

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import compose as compose_mod
 from . import ucsim
-from .attack import run_attack_exact, run_attack_montecarlo
+from .attack import _attack_reports, run_attack_montecarlo
 from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
 from .dist import outcome_sort_key
 from .families import lift_to_asu2, parse_family
@@ -220,8 +220,7 @@ def cmd_attack(args) -> str:
                   frac_str(rep.expected), repr(rep.interval[0]), repr(rep.interval[1])]],
             )
         return _dump_json(doc)
-    reports = [run_attack_exact(fam, l, budget=args.budget)
-               for l in range(1, args.rounds + 1)]
+    reports = _attack_reports(fam, args.rounds, budget=args.budget)
     if args.format == "json":
         return _dump_json({
             "family": fam.descriptor(),

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
 from .families import HashFamily
-from .measure import measure_axu2
+from .measure import _difference_column, measure_axu2
 
 LIST_ELIMINATION = "list-elimination"
 IDENTITY = "identity"
@@ -129,7 +129,7 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
     if len(fam.messages) < 2:
         raise DomainError("need two messages to substitute")
     x, xp = fam.messages[0], fam.messages[1]
-    cs = [fam._tag(k, x) ^ fam._tag(k, xp) for k in fam.keys()]
+    cs = _difference_column(fam, x, xp)
     if env == IDENTITY:
         ideal = tuple([x] * n)
     else:

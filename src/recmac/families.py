@@ -94,6 +94,11 @@ class HashFamily:
                 raise BudgetExceeded(
                     f"evaluation table needs {cells} cells, budget is {budget}"
                 )
+        return self._tag_table()
+
+    def _tag_table(self) -> list[list[int]]:
+        """tag_table without a budget check, for callers that made their own."""
+        if self._table is None:
             self._table = [
                 [self._tag(k, x) for x in self.messages] for k in self.keys()
             ]

@@ -89,6 +89,47 @@ def asu2_oracle(fam) -> Fraction:
     return Fraction(fam.tag_count * best, fam.key_count)
 
 
+# The witness oracles scan pairs (x1, x2) with x1 before x2 in message order
+# and, within a pair, tags (or tag pairs) in increasing order, keeping the
+# first strict maximum: the tie-breaks the library documents.
+
+
+def axu2_witness_oracle(fam) -> tuple[Fraction, tuple | None]:
+    """(epsilon, witness (x1, x2, t)) of the XOR bound, by the naive pair loop."""
+    msgs = list(fam.messages)
+    if len(msgs) < 2:
+        return Fraction(0), None
+    best, witness = -1, None
+    for i, x1 in enumerate(msgs):
+        for x2 in msgs[i + 1:]:
+            hits: dict[int, int] = {}
+            for k in fam.keys():
+                d = fam.tag(k, x1) ^ fam.tag(k, x2)
+                hits[d] = hits.get(d, 0) + 1
+            for t in sorted(hits):
+                if hits[t] > best:
+                    best, witness = hits[t], (x1, x2, t)
+    return Fraction(best, fam.key_count), witness
+
+
+def asu2_witness_oracle(fam) -> tuple[Fraction, tuple | None]:
+    """(epsilon, witness (x1, x2, t1, t2)) of the strong bound, by the naive pair loop."""
+    msgs = list(fam.messages)
+    if len(msgs) < 2:
+        return Fraction(0), None
+    best, witness = -1, None
+    for i, x1 in enumerate(msgs):
+        for x2 in msgs[i + 1:]:
+            hits: dict[tuple, int] = {}
+            for k in fam.keys():
+                cell = (fam.tag(k, x1), fam.tag(k, x2))
+                hits[cell] = hits.get(cell, 0) + 1
+            for cell in sorted(hits):
+                if hits[cell] > best:
+                    best, witness = hits[cell], (x1, x2, *cell)
+    return Fraction(fam.tag_count * best, fam.key_count), witness
+
+
 # -- real/ideal distance oracle -----------------------------------------------
 #
 # Counting version of the one-round game for hash-family protocols, kept in

@@ -8,7 +8,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recmac import attack
 from recmac import (
+    DEFAULT_BUDGET,
     AuthKey,
     BudgetExceeded,
     CounterexampleFamily,
@@ -97,6 +99,25 @@ def test_requires_uniform_difference():
         run_attack_exact(MulFamily(2), 5)
     with pytest.raises(DomainError):
         run_attack_exact(TableFamily([7], [[0], [1]]), 1)
+
+
+@pytest.mark.parametrize("build", [lambda: MulFamily(3), lambda: ToeplitzFamily(3, 2),
+                                   build_table16], ids=["mul3", "toeplitz3x2", "table16"])
+def test_attack_rows_count_the_differences_once(build, monkeypatch):
+    fam = build()
+    rows = fam.tag_count
+    expected = [run_attack_exact(build(), l) for l in range(1, rows + 1)]
+    calls = []
+    real = attack._difference_column
+    monkeypatch.setattr(attack, "_difference_column",
+                        lambda *a: calls.append(a) or real(*a))
+    assert attack._attack_reports(fam, rows, DEFAULT_BUDGET) == expected
+    assert len(calls) == 1
+    assert attack._attack_reports(fam, 0, 1) == []
+    with pytest.raises(DomainError, match=f"rounds must be in 1..{rows}"):
+        attack._attack_reports(fam, rows + 1, DEFAULT_BUDGET)
+    with pytest.raises(BudgetExceeded):
+        attack._attack_reports(build(), 1, 1)
 
 
 # -- exact entropy arithmetic ---------------------------------------------------

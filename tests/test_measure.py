@@ -1,13 +1,21 @@
 """Collision measures against the naive pair-loop oracle and frozen values."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import recmac
 from recmac import (
     BudgetExceeded,
     CounterexampleFamily,
     DomainError,
+    Measurement,
     MulFamily,
     PolyFamily,
     TableFamily,
@@ -20,7 +28,7 @@ from recmac import (
     tag_marginal,
 )
 
-from conftest import asu2_oracle, axu2_oracle
+from conftest import asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle
 
 SMALL_FAMILIES = [
     MulFamily(2),
@@ -32,6 +40,13 @@ SMALL_FAMILIES = [
     CounterexampleFamily(3),
     lift_to_asu2(MulFamily(2)),
     TableFamily([0, 1, 2], [[0, 1, 1], [1, 1, 0], [0, 0, 1], [1, 0, 0]]),
+]
+
+
+WITNESS_FAMILIES = SMALL_FAMILIES + [
+    PolyFamily(2, 3),
+    ToeplitzFamily(4, 3),
+    lift_to_asu2(MulFamily(3)),
 ]
 
 
@@ -186,3 +201,84 @@ def test_tag_marginal():
     for x in lifted.messages:
         marg = tag_marginal(lifted, x)
         assert all(p == F(1, 4) for p in marg.values())
+
+
+# -- witnesses, budgets and memory of the column counting ----------------------
+
+
+def as_pair(meas):
+    return meas.epsilon, meas.witness
+
+
+@pytest.mark.parametrize("fam", WITNESS_FAMILIES, ids=lambda f: f.descriptor())
+def test_axu2_witness_is_the_first_maximum(fam):
+    assert as_pair(measure_axu2(fam)) == axu2_witness_oracle(fam)
+
+
+@pytest.mark.parametrize("fam", WITNESS_FAMILIES, ids=lambda f: f.descriptor())
+def test_asu2_witness_is_the_first_maximum(fam):
+    assert as_pair(measure_asu2(fam)) == asu2_witness_oracle(fam)
+
+
+@st.composite
+def tied_tables(draw):
+    """TableFamily with at most 6 keys, 5 messages and 1-2-bit tags: ties everywhere."""
+    m = draw(st.integers(1, 2))
+    nx = draw(st.integers(1, 5))
+    kc = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=nx, max_size=nx),
+                         min_size=kc, max_size=kc))
+    return TableFamily(list(range(nx)), rows, m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=tied_tables())
+def test_witnesses_on_tied_tables(fam):
+    assert as_pair(measure_axu2(fam)) == axu2_witness_oracle(fam)
+    assert as_pair(measure_asu2(fam)) == asu2_witness_oracle(fam)
+
+
+@pytest.mark.parametrize("measure, build, work", [
+    (measure_axu2, lambda: MulFamily(3), 8 * 7),                        # difference walk
+    (measure_axu2, lambda: ToeplitzFamily(3, 2), 16 * 7),               # difference walk
+    (measure_axu2, lambda: lift_to_asu2(MulFamily(2)), 16 * 4 * 3 // 2),  # pair loop
+    (measure_axu2, lambda: TableFamily([0, 1, 2], [[0, 1, 1], [1, 0, 0]]), 2 * 3 * 2 // 2),
+    (measure_asu2, lambda: MulFamily(3), 8 * 8 * 7 // 2),
+    (measure_asu2, lambda: PolyFamily(2, 2), 4 * 16 * 15 // 2),
+], ids=["axu2-mul", "axu2-toeplitz", "axu2-lift", "axu2-table", "asu2-mul", "asu2-poly"])
+def test_measure_budget_threshold_builds_nothing_when_refused(measure, build, work):
+    fam = build()
+    with pytest.raises(BudgetExceeded):
+        measure(fam, budget=work - 1)
+    assert fam._table is None and fam._axu2 is None
+    assert measure(fam, budget=work) == measure(build())
+
+
+def test_linear_axu2_reads_basis_columns_only():
+    fam = MulFamily(10)
+    tracemalloc.start()
+    try:
+        meas = measure_axu2(fam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert meas == Measurement("axu2", F(1, 1024), (0, 1, 0))
+    assert fam._table is None
+    assert peak < 2 << 20   # the full 1024 x 1024 table would take about 8 MB
+
+
+def test_difference_walk_checks_basis_messages(monkeypatch):
+    monkeypatch.setattr(MulFamily, "message_to_int", lambda self, x: 0 if x == 0 else x ^ 1)
+    with pytest.raises(VerificationFailed):
+        measure_axu2(MulFamily(2))
+
+
+def test_epsilon_sweep_script_runs_under_O():
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(recmac.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-O", str(repo / "scripts" / "epsilon_sweep.py")],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                       timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    assert "poly:m=4,L=4" in r.stdout and "lifted asu2" in r.stdout
