@@ -35,7 +35,6 @@ from .ucsim import (
     EnvStrategy,
     WcProtocol,
     CounterexampleProtocol,
-    counterexample_protocol,
     run_real,
     run_ideal,
     uc_distance,
@@ -107,7 +106,6 @@ __all__ = [
     "EnvStrategy",
     "WcProtocol",
     "CounterexampleProtocol",
-    "counterexample_protocol",
     "run_real",
     "run_ideal",
     "uc_distance",

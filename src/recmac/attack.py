@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
+from .errors import DomainError, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 from .measure import _difference_column, measure_axu2
 from .protocol import KeyStream, TaggedMessage, authenticate, verify
@@ -178,11 +178,21 @@ def _check_rounds(fam: HashFamily, rounds: int, least: int = 1) -> None:
         raise DomainError(f"rounds must be in {least}..{fam.tag_count}")
 
 
-def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
-    """Keys per hash-difference value of the canonical message pair.
+def _eliminated(fam: HashFamily) -> list[int]:
+    """Keys that guess i accepts along the all-reject path, for every tag i.
 
-    Refuses families whose two-point bound is not 1/|T|: the per-round
-    analysis rests on the difference being uniform.
+    Guess i forges (x_sub, t ^ i), accepted under the keys whose hash
+    difference on the canonical pair is i, so the first n guesses cover
+    sum(_eliminated(fam)[:n]) keys.
+    """
+    counts = Counter(_difference_column(fam, *_attack_pair(fam)))
+    return [counts[t] for t in fam.tags()]
+
+
+def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
+    """_eliminated(fam), for families whose two-point bound is 1/|T| only.
+
+    The per-round analysis rests on the difference being uniform.
     """
     eps = measure_axu2(fam, budget=budget).epsilon
     want = Fraction(1, fam.tag_count)
@@ -191,8 +201,7 @@ def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
             f"{fam.descriptor()} has two-point bound {eps}, not 1/|T| = {want}; "
             "the per-round elimination analysis does not apply"
         )
-    counts = Counter(_difference_column(fam, *_attack_pair(fam)))
-    return [counts[t] for t in fam.tags()]
+    return _eliminated(fam)
 
 
 def _conditionals(counts: list[int], nk: int, rounds: int) -> list[Fraction]:
@@ -318,10 +327,7 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     _check_rounds(fam, rounds)
     if trials < 1:
         raise DomainError("need at least one trial")
-    work = trials * rounds
-    if work > budget:
-        raise BudgetExceeded(
-            f"Monte Carlo attack needs {work} cells, budget is {budget}")
+    check_budget(trials * rounds, budget, "Monte Carlo attack")
     rng = random.Random(seed)
     x, x_sub = _attack_pair(fam)
     kc, tc = fam.key_count, fam.tag_count

@@ -3,11 +3,12 @@
 Subcommands: epsilon, uc-distance, impersonate, attack, compose, roundtrip,
 fieldtab.  Output goes to stdout or --out, as JSON (sorted keys) or CSV, and
 is byte-identical across runs for identical arguments: all randomness flows
-from --seed and nothing timestamps or orders nondeterministically.
+from --seed (epsilon and attack) and nothing timestamps or orders
+nondeterministically.  Every subcommand but roundtrip and fieldtab takes --budget.
 
 Exit codes: 0 success, 1 budget refusal (exact enumeration, Monte Carlo or
 sampling), 2 usage errors (including malformed descriptors, out-of-range
-parameters and flags that do not combine).
+parameters, unknown flags and flags that do not combine), on one stderr line.
 """
 
 from __future__ import annotations
@@ -332,27 +333,35 @@ def cmd_fieldtab(args) -> str:
 # -- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit 2, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"recmac: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="recmac",
         description="exact security accounting for pad-masked authentication "
                     "with a recycled hash key",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, family=True):
-        if family:
-            sp.add_argument("--family", required=True,
-                            help="mul:m=M | poly:m=M,L=L | toeplitz:n=N,m=M | "
-                                 "table:@file.json | counterexample:m=M")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="cell budget of exact enumeration, Monte Carlo and sampling")
-        sp.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    def common(sp, budget=True, seed=False):
+        sp.add_argument("--family", required=True,
+                        help="mul:m=M | poly:m=M,L=L | toeplitz:n=N,m=M | "
+                             "table:@file.json | counterexample:m=M")
+        if budget:
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                            help="cell budget of exact enumeration, Monte Carlo and sampling")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="PRNG seed")
         sp.add_argument("--out", default=None, help="write output to this file")
         sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     sp = sub.add_parser("epsilon", help="measure two-point hash bounds")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--kind", choices=("axu2", "asu2"), default="axu2")
     sp.add_argument("--lift", action="store_true",
                     help="measure the pad-keyed lift of the family")
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_impersonate, default_format="json")
 
     sp = sub.add_parser("attack", help="per-round key-elimination attack accounting")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--rounds", type=int, required=True)
     sp.add_argument("--montecarlo", action="store_true")
     sp.add_argument("--trials", type=int, default=100000)
@@ -399,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_compose, default_format="csv")
 
     sp = sub.add_parser("roundtrip", help="authenticate, serialize, parse, verify")
-    common(sp)
+    common(sp, budget=False)
     sp.add_argument("--message", type=int, required=True,
                     help="message as an integer in wire form")
     sp.add_argument("--k1", type=int, required=True)
@@ -407,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_roundtrip, default_format="json")
 
     sp = sub.add_parser("fieldtab", help="dump the family's tag-field tables")
-    common(sp)
+    common(sp, budget=False)
     sp.set_defaults(handler=cmd_fieldtab, default_format="csv")
 
     return p

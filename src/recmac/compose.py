@@ -21,14 +21,15 @@ distance is defined over outcomes (tag vector, receiver outputs, k1), but
 the padded tags are uniform and independent of (outputs, k1) in both worlds,
 so every tag vector carries the same weight on both sides and drops out:
 the distance is the share of keys k1 whose real outputs differ from the
-ideal ones.  For the list-elimination environment on a 1/|T|-bounded family
-this comes out at exactly min(1, r*l/|T|), matching the attack success
-probability: the additive ledger is tight, up to the declared eps' terms,
-which the simulation treats as zero by taking the key source ideal.
+ideal ones.  In the ideal world no forgery is ever accepted, so these are
+the keys that one of the environment's first min(n, |T|) guesses covers,
+n = r*l: the same count as the attack's success probability, taken from
+attack._eliminated.  For a 1/|T|-bounded family it comes out at exactly
+min(1, r*l/|T|): the additive ledger is tight, up to the declared eps'
+terms, which the simulation treats as zero by taking the key source ideal.
 
 The environment substitutes every round until its first success, then turns
-honest; in the ideal world no forgery is ever accepted, so there it
-substitutes for as long as it has candidates.
+honest; in the ideal world it substitutes for as long as it has candidates.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
+from .attack import _eliminated
+from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
-from .measure import _difference_column, measure_axu2
+from .measure import measure_axu2
 
 LIST_ELIMINATION = "list-elimination"
 IDENTITY = "identity"
@@ -106,50 +108,21 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
                          budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact real-vs-ideal distance of the full multi-round execution.
 
-    Outcomes are (tag vector, per-round receiver outputs, recycled k1), and
-    the budget counts that outcome space, kc * tc**n cells for n = r*l
-    authentications.  The pads make the tag vector uniform and independent
-    of (outputs, k1) in both worlds, so each world puts weight
-    U(tags) * P(outputs, k1) on every outcome and the tags integrate out of
-    the distance exactly.  Both worlds are deterministic given k1, so the
-    distance is #{k1 : real outputs != ideal outputs} / kc, found by playing
-    the environment once per key: kc * n steps.
+    The distance is the share of keys covered by the first min(n, |T|)
+    guesses, n = r*l (module docstring); identity never substitutes and
+    is at 0.  The budget still counts the outcome space the distance is
+    defined over, kc * tc**n cells, though only 2 * kc tags are evaluated:
+    that threshold is where `recmac compose --simulate` refuses, and
+    scripts/composition_budget.py and the perfbench refusal job rest on it.
     """
     if env not in (LIST_ELIMINATION, IDENTITY):
         raise DomainError(f"unknown environment {env!r}")
     if qkd_rounds < 1 or auths_per_round < 1:
         raise DomainError("need at least one round of each kind")
     n = qkd_rounds * auths_per_round
-    tc, kc = fam.tag_count, fam.key_count
-    work = kc * tc ** n
-    if work > budget:
-        raise BudgetExceeded(
-            f"multi-round outcome space has {work} cells, budget is {budget}"
-        )
+    check_budget(fam.key_count * fam.tag_count ** n, budget, "multi-round outcome space")
     if len(fam.messages) < 2:
         raise DomainError("need two messages to substitute")
-    x, xp = fam.messages[0], fam.messages[1]
-    cs = _difference_column(fam, x, xp)
     if env == IDENTITY:
-        ideal = tuple([x] * n)
-    else:
-        ideal = tuple([None] * min(n, tc) + [x] * max(0, n - tc))
-
-    differ = 0
-    for k1 in range(kc):
-        outs = []
-        gi = 0
-        succeeded = False
-        for _ in range(n):
-            if env == IDENTITY or succeeded or gi >= tc:
-                outs.append(x)
-            else:
-                guess = gi
-                gi += 1
-                if cs[k1] == guess:
-                    outs.append(xp)
-                    succeeded = True
-                else:
-                    outs.append(None)
-        differ += tuple(outs) != ideal
-    return Fraction(differ, kc)
+        return Fraction(0)
+    return Fraction(sum(_eliminated(fam)[:n]), fam.key_count)

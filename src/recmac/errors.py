@@ -1,10 +1,11 @@
-"""Shared exception types and the default enumeration budget.
+"""Shared exception types, the default enumeration budget and its one gate.
 
 Everything in this package that claims exactness gets it by enumerating a
 finite space (keys, message pairs, wire messages, the outcome space of a
-composed run).  DEFAULT_BUDGET caps how many cells such a space may have
-before the exact path refuses and the caller has to ask for sampling
-explicitly.
+composed run).  Every entry point that enumerates, samples or simulates
+counts its cells from the sizes of its inputs and passes them to
+check_budget before it builds anything.  The size caps of the family
+constructors and of the field tables are fixed limits, not budgets.
 """
 
 DEFAULT_BUDGET = 2 ** 24
@@ -20,6 +21,12 @@ class BudgetExceeded(RuntimeError):
     Raised instead of silently degrading; callers who can live with an
     estimate must request sampling mode explicitly.
     """
+
+
+def check_budget(work: int, budget: int, what: str) -> None:
+    """Refuse `what` unless its `work` cells fit the `budget`."""
+    if work > budget:
+        raise BudgetExceeded(f"{what} needs {work} cells, budget is {budget}")
 
 
 class SchemaMismatch(ValueError):

@@ -31,7 +31,7 @@ import itertools
 import json
 from typing import Sequence
 
-from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
+from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET, check_budget
 from .gf2m import FieldCtx
 
 
@@ -89,11 +89,7 @@ class HashFamily:
     def tag_table(self, budget: int = DEFAULT_BUDGET) -> list[list[int]]:
         """The full |K| x |X| evaluation table, built once and cached."""
         if self._table is None:
-            cells = self.key_count * len(self.messages)
-            if cells > budget:
-                raise BudgetExceeded(
-                    f"evaluation table needs {cells} cells, budget is {budget}"
-                )
+            check_budget(self.key_count * len(self.messages), budget, "evaluation table")
         return self._tag_table()
 
     def _tag_table(self) -> list[list[int]]:
@@ -216,14 +212,11 @@ class ToeplitzFamily(HashFamily):
         self.xor_linear = True
 
     def _tag(self, k: int, x: int) -> int:
+        # row i is key bits i+n-1 .. i, so it meets x's n bits in reverse order
+        xr = int(format(x, f"0{self.n}b")[::-1], 2)
         t = 0
         for i in range(self.tag_bits):
-            row = 0
-            for j in range(self.n):
-                if (k >> (i - j + self.n - 1)) & 1:
-                    row |= 1 << j
-            if (x & row).bit_count() & 1:
-                t |= 1 << i
+            t |= (((k >> i) & xr).bit_count() & 1) << i
         return t
 
     def descriptor(self) -> str:

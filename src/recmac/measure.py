@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import xor
 
-from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
+from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 
 
@@ -120,12 +120,8 @@ def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     """
     if len(fam.messages) < 2:
         return Measurement("axu2", Fraction(0), None)
-    work = _axu2_work(fam)
-    if work > budget:
-        raise BudgetExceeded(
-            f"exact axu2 for {fam.descriptor()} needs {work} cells, budget is "
-            f"{budget}; request sampling explicitly via sample_axu2"
-        )
+    check_budget(_axu2_work(fam), budget,
+                 f"exact axu2 for {fam.descriptor()} (or sample it with sample_axu2)")
     if fam._axu2 is None:
         fam._axu2 = _axu2(fam)
     return fam._axu2
@@ -165,12 +161,7 @@ def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     nx = len(msgs)
     if nx < 2:
         return Measurement("asu2", Fraction(0), None)
-    work = fam.key_count * nx * (nx - 1) // 2
-    if work > budget:
-        raise BudgetExceeded(
-            f"exact asu2 for {fam.descriptor()} needs {work} cells, budget is "
-            f"{budget}; request sampling explicitly"
-        )
+    check_budget(fam.key_count * nx * (nx - 1) // 2, budget, f"exact asu2 for {fam.descriptor()}")
     cols = list(zip(*fam._tag_table()))
     best = -1
     for i, x1 in enumerate(msgs):
@@ -203,11 +194,7 @@ def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0,
     """
     if pairs < 1:
         raise DomainError(f"need at least one sampled pair, got {pairs}")
-    work = pairs * fam.key_count
-    if work > budget:
-        raise BudgetExceeded(
-            f"sampling {pairs} pairs of {fam.descriptor()} needs {work} cells, "
-            f"budget is {budget}")
+    check_budget(pairs * fam.key_count, budget, f"sampling {pairs} pairs of {fam.descriptor()}")
     if len(fam.messages) < 2:
         return SampledMeasurement("axu2", Fraction(0), (0.0, 0.0), 0, Fraction(1), seed, None)
     rng = random.Random(seed)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .dist import Dist, outcome_sort_key, statistical_distance
-from .errors import BudgetExceeded, DomainError, VerificationFailed, DEFAULT_BUDGET
+from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import CounterexampleFamily, HashFamily
 
 SUBSTITUTION = "substitution"
@@ -92,7 +92,6 @@ class WcProtocol(AuthProtocol):
         self.recycles = recycle
         self.messages = fam.messages
         self._tab = fam.tag_table(budget)
-        self._idx = {x: i for i, x in enumerate(fam.messages)}
 
     def keys(self):
         if self.recycles:
@@ -102,33 +101,29 @@ class WcProtocol(AuthProtocol):
             ]
         return list(range(self.fam.key_count))
 
-    def encode(self, key, x):
-        i = self._idx[x]
+    def _tag(self, key, i: int) -> int:
+        """The wire tag of message number i under `key`."""
         if self.recycles:
             k1, k2 = key
-            return (x, self._tab[k1][i] ^ k2)
-        return (x, self._tab[key][i])
+            return self._tab[k1][i] ^ k2
+        return self._tab[key][i]
+
+    def encode(self, key, x):
+        return (x, self._tag(key, self.fam.message_index(x)))
 
     def receive(self, key, wire):
-        xp, tp = self._split_wire(wire)
-        i = self._idx[xp]
-        if self.recycles:
-            k1, k2 = key
-            expected = self._tab[k1][i] ^ k2
-        else:
-            expected = self._tab[key][i]
-        return xp if expected == tp else None
+        xp, i, tp = self._split_wire(wire)
+        return xp if self._tag(key, i) == tp else None
 
     def _split_wire(self, wire):
         try:
             xp, tp = wire
         except (TypeError, ValueError):
             raise DomainError(f"wire message must be (message, tag), got {wire!r}") from None
-        if xp not in self._idx:
-            raise DomainError(f"{xp!r} is not a message of {self.fam.descriptor()}")
+        i = self.fam.message_index(xp)
         if not isinstance(tp, int) or not 0 <= tp < self.fam.tag_count:
             raise DomainError(f"tag {tp!r} out of range for {self.fam.descriptor()}")
-        return xp, tp
+        return xp, i, tp
 
     def recycled(self, key):
         return key[0] if self.recycles else None
@@ -140,8 +135,7 @@ class WcProtocol(AuthProtocol):
         return [(x, t) for x in self.messages for t in self.fam.tags()]
 
     def check_message(self, x):
-        if x not in self._idx:
-            raise DomainError(f"{x!r} is not a message of {self.fam.descriptor()}")
+        self.fam.message_index(x)
 
 
 class CounterexampleProtocol(AuthProtocol):
@@ -185,10 +179,6 @@ class CounterexampleProtocol(AuthProtocol):
     def check_message(self, x):
         if x not in (0, 1):
             raise DomainError(f"message must be 0 or 1, got {x!r}")
-
-
-def counterexample_protocol(m: int) -> CounterexampleProtocol:
-    return CounterexampleProtocol(m)
 
 
 def as_protocol(fam_or_proto, recycle: bool = False,
@@ -256,20 +246,26 @@ def _finish(acc, nonrec_fields, proto: AuthProtocol) -> Dist:
     return d
 
 
-def _check_run_budget(proto: AuthProtocol, env: EnvStrategy, budget: int) -> list:
-    keys = list(proto.keys())
+def _key_count(fam_or_proto, recycle: bool) -> int:
+    """Keys of the protocol on fam_or_proto; a family's are counted, not built."""
+    if isinstance(fam_or_proto, HashFamily):
+        return fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
+    return len(as_protocol(fam_or_proto).keys())
+
+
+def _run_protocol(fam_or_proto, env: EnvStrategy, recycle: bool,
+                  budget: int) -> tuple[AuthProtocol, list]:
+    """The protocol a run executes on and its keys, built once the run is admitted."""
     support = 1 if env.mode == IMPERSONATION else len(env.msg_dist.weights)
-    work = support * len(keys)
-    if work > budget:
-        raise BudgetExceeded(f"run needs {work} cells, budget is {budget}")
-    return keys
+    check_budget(support * _key_count(fam_or_proto, recycle), budget, "run")
+    proto = as_protocol(fam_or_proto, recycle)
+    return proto, list(proto.keys())
 
 
 def run_real(fam_or_proto, env: EnvStrategy, recycle: bool = False,
              budget: int = DEFAULT_BUDGET) -> Dist:
     """Exact outcome distribution of the real execution under `env`."""
-    proto = as_protocol(fam_or_proto, recycle)
-    keys = _check_run_budget(proto, env, budget)
+    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
     unit = Fraction(1, len(keys))
     acc: dict[tuple, Fraction] = defaultdict(Fraction)
     if env.mode == SUBSTITUTION:
@@ -298,8 +294,7 @@ def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
     accepts only if the delivery is unmodified, and the recycled key is drawn
     uniformly, independent of the transcript.
     """
-    proto = as_protocol(fam_or_proto, recycle)
-    keys = _check_run_budget(proto, env, budget)
+    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
     unit = Fraction(1, len(keys))
     rvals = list(proto.recycled_values()) if proto.recycles else [None]
     runit = Fraction(1, len(rvals))
@@ -325,10 +320,8 @@ def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
 
 def uc_distance(fam_or_proto, env: EnvStrategy, recycle: bool = False,
                 budget: int = DEFAULT_BUDGET) -> Fraction:
-    proto = as_protocol(fam_or_proto, recycle)
-    return statistical_distance(
-        run_real(proto, env, budget=budget), run_ideal(proto, env, budget=budget)
-    )
+    return statistical_distance(run_real(fam_or_proto, env, recycle, budget),
+                                run_ideal(fam_or_proto, env, recycle, budget))
 
 
 def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,
@@ -344,17 +337,13 @@ def _search_budget(fam_or_proto, recycle: bool,
     For a family the work is counted from its sizes before the tag table and
     the key list are built, so a refused search builds neither.
     """
+    nkeys = _key_count(fam_or_proto, recycle)
+    nx = len(fam_or_proto.messages)
     if isinstance(fam_or_proto, HashFamily):
-        fam = fam_or_proto
-        nx = len(fam.messages)
-        nkeys = fam.key_count * (fam.tag_count if recycle else 1)
-        nwire = nx * fam.tag_count
+        nwire = nx * fam_or_proto.tag_count
     else:
-        proto = as_protocol(fam_or_proto)
-        nx, nkeys, nwire = len(proto.messages), len(proto.keys()), len(proto.wire_values())
-    work = nx * nkeys * (1 + nwire)
-    if work > budget:
-        raise BudgetExceeded(f"worst-case search needs {work} cells, budget is {budget}")
+        nwire = len(fam_or_proto.wire_values())
+    check_budget(nx * nkeys * (1 + nwire), budget, "worst-case search")
     proto = as_protocol(fam_or_proto, recycle, budget)
     return proto, list(proto.keys()), proto.wire_values()
 

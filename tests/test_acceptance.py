@@ -12,6 +12,7 @@ import time
 from fractions import Fraction as F
 
 from recmac import (
+    CounterexampleProtocol,
     EnvStrategy,
     IDENTITY,
     LIST_ELIMINATION,
@@ -20,7 +21,6 @@ from recmac import (
     ToeplitzFamily,
     ToyQkdFunctionality,
     compose_ledger,
-    counterexample_protocol,
     impersonation_distance,
     measure_asu2,
     measure_axu2,
@@ -185,7 +185,7 @@ def test_criterion_7_impersonation_lemmas():
         di, _ = worst_case_impersonation(fam, recycle=True)
         ds, _ = worst_case_substitution(fam, recycle=True)
         assert di <= ds
-    proto = counterexample_protocol(2)
+    proto = CounterexampleProtocol(2)
     assert impersonation_distance(proto, (0, 0)) == 1
     dsub, _ = worst_case_substitution(proto)
     assert dsub >= F(1, 2)

@@ -179,6 +179,32 @@ def test_lift_with_recycle_is_a_usage_error(capsys, command):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("args", [
+    ("uc-distance", "--family", "mul:m=2", "--seed", "1"),
+    ("impersonate", "--family", "mul:m=2", "--seed", "1"),
+    ("compose", "--family", "mul:m=2", "--r", "1", "--rounds", "1", "--seed", "1"),
+    ("roundtrip", "--family", "mul:m=2", "--message", "1", "--k1", "2", "--pad", "3",
+     "--seed", "1"),
+    ("roundtrip", "--family", "mul:m=2", "--message", "1", "--k1", "2", "--pad", "3",
+     "--budget", "9"),
+    ("fieldtab", "--family", "mul:m=2", "--seed", "1"),
+    ("fieldtab", "--family", "mul:m=2", "--budget", "9"),
+], ids=lambda a: a[0] + a[-2])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"recmac: error: unrecognized arguments: {args[-2]} {args[-1]}\n"
+
+
+def test_usage_error_is_one_line_without_traceback():
+    r = subprocess.run([sys.executable, "-m", "recmac", "fieldtab", "--family", "mul:m=2",
+                        "--seed", "1"], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "recmac: error: unrecognized arguments: --seed 1\n"
+
+
 def one_refusal_line(capsys):
     err = capsys.readouterr().err
     return err.startswith("recmac: budget refusal: ") and err.count("\n") == 1

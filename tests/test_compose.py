@@ -100,10 +100,13 @@ def test_simulation_matches_min_formula():
 
 
 def test_simulation_equals_attack_success():
-    fam = MulFamily(2)
-    for l in (1, 2, 3, 4):
-        assert simulate_composition(fam, 1, l, env=LIST_ELIMINATION) == \
-            run_attack_exact(fam, l).success_prob
+    # on 1/|T| families, past saturation too: n = r*l runs up to |T| + 2
+    for fam in (MulFamily(1), MulFamily(2), MulFamily(3), ToeplitzFamily(3, 2)):
+        tc = fam.tag_count
+        for r, l in pairs_up_to(tc + 2):
+            budget = fam.key_count * tc ** (r * l)
+            assert simulate_composition(fam, r, l, env=LIST_ELIMINATION, budget=budget) == \
+                run_attack_exact(fam, min(r * l, tc)).success_prob, (fam, r, l)
 
 
 def test_simulation_bounded_by_ledger():

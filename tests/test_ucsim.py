@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from recmac import (
     BudgetExceeded,
     CounterexampleFamily,
+    CounterexampleProtocol,
     Dist,
     DomainError,
     EnvStrategy,
@@ -26,7 +27,6 @@ from recmac import (
     ToeplitzFamily,
     VerificationFailed,
     WcProtocol,
-    counterexample_protocol,
     impersonation_distance,
     lift_to_asu2,
     measure_asu2,
@@ -202,7 +202,7 @@ def test_impersonation_never_beats_substitution_for_tagged_message_schemes():
 
 
 def test_counterexample_protocol_encode_receive():
-    proto = counterexample_protocol(2)
+    proto = CounterexampleProtocol(2)
     for key in proto.keys():
         for x in proto.messages:
             y = proto.encode(key, x)
@@ -216,13 +216,13 @@ def test_counterexample_protocol_encode_receive():
 
 
 def test_counterexample_protocol_distances():
-    proto = counterexample_protocol(2)
+    proto = CounterexampleProtocol(2)
     assert impersonation_distance(proto, (0, 0)) == 1
     ds, _ = worst_case_substitution(proto)
     assert ds == F(2, 3)
     d, env = worst_case_distance(proto)
     assert d == 1 and env.mode == "impersonation"
-    proto1 = counterexample_protocol(1)
+    proto1 = CounterexampleProtocol(1)
     assert worst_case_impersonation(proto1)[0] == 1
     assert worst_case_substitution(proto1)[0] == 1
 
@@ -242,7 +242,7 @@ def small_tables(draw):
 
 
 small_targets = st.one_of(
-    small_tables(), st.sampled_from([counterexample_protocol(1), counterexample_protocol(2)]))
+    small_tables(), st.sampled_from([CounterexampleProtocol(1), CounterexampleProtocol(2)]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,7 +313,7 @@ def test_substitution_search_is_maximum_over_every_map(fam, recycle):
 @pytest.mark.parametrize("m", [1, 2])
 def test_counterexample_substitution_search_is_maximum_over_every_map(m):
     # the protocol has no recycled key, so the recycle flag is ignored
-    check_substitution_search(counterexample_protocol(m), recycle=False)
+    check_substitution_search(CounterexampleProtocol(m), recycle=False)
 
 
 def test_searches_raise_when_the_witness_rerun_disagrees(monkeypatch):
@@ -382,6 +382,10 @@ def test_run_validates_messages_and_wires():
     with pytest.raises(DomainError):
         proto.receive((0, 0), (0, 0, 0))
     with pytest.raises(DomainError):
+        proto.receive((0, 0), ([0], 0))   # unhashable message
+    with pytest.raises(DomainError):
+        proto.check_message([0])
+    with pytest.raises(DomainError):
         as_protocol("nonsense")
 
 
@@ -400,7 +404,7 @@ def test_search_budget_threshold_is_the_cell_count():
     # |X| * |keys| * (1 + |wire|): mul:m=2 recycled has 4 * 16 * (1 + 16) cells,
     # the counterexample protocol 2 * 6 * (1 + 8)
     for target, recycle, work in ((MulFamily(2), True, 1088),
-                                  (counterexample_protocol(2), False, 108)):
+                                  (CounterexampleProtocol(2), False, 108)):
         for search in (worst_case_substitution, worst_case_impersonation):
             search(target, recycle=recycle, budget=work)
             with pytest.raises(BudgetExceeded, match=f"needs {work} cells"):
@@ -413,6 +417,35 @@ def test_refused_search_builds_nothing():
         with pytest.raises(BudgetExceeded, match="worst-case search needs"):
             search(fam, recycle=True, budget=10)
         assert fam._table is None
+
+
+def test_run_budget_threshold_is_the_cell_count():
+    # |message support| * |keys|: two messages on mul:m=2 are 2 * 16 cells
+    # recycled and 2 * 4 without a pad, an injection on the counterexample
+    # protocol 1 * 6
+    two = EnvStrategy.substitute({0: F(1, 2), 1: F(1, 2)}, {(0, 0): (1, 0)})
+    for target, recycle, env, work in (
+            (MulFamily(2), True, two, 32), (MulFamily(2), False, two, 8),
+            (CounterexampleProtocol(2), False, EnvStrategy.impersonate((0, 0)), 6)):
+        for run in (run_real, run_ideal, uc_distance):
+            run(target, env, recycle=recycle, budget=work)
+            with pytest.raises(BudgetExceeded, match=f"run needs {work} cells"):
+                run(target, env, recycle=recycle, budget=work - 1)
+    assert impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=16) == F(1, 4)
+    with pytest.raises(BudgetExceeded, match="run needs 16 cells"):
+        impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=15)
+
+
+def test_refused_run_builds_nothing():
+    fam = ToeplitzFamily(7, 7)   # 2^13 keys x 128 pads
+    env = EnvStrategy.substitute(0, {})
+    for run in (run_real, run_ideal, uc_distance):
+        with pytest.raises(BudgetExceeded, match="run needs"):
+            run(fam, env, recycle=True, budget=10)
+        assert fam._table is None
+    with pytest.raises(BudgetExceeded, match="run needs"):
+        impersonation_distance(fam, (0, 0), recycle=True, budget=10)
+    assert fam._table is None
 
 
 def test_schema_mismatch_between_modes():
