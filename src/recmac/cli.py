@@ -20,14 +20,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import compose as compose_mod
-from . import ucsim
-from .attack import _attack_reports, run_attack_montecarlo
+# Only what `epsilon` and `fieldtab` use is imported here; every other handler
+# imports its own modules, so a job loads only what its subcommand runs.
 from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET
-from .dist import outcome_sort_key
 from .families import lift_to_asu2, parse_family
 from .measure import measure_asu2, measure_axu2, sample_axu2
-from .protocol import AuthKey, TaggedMessage, authenticate, pack_tagged, unpack_tagged, verify
 
 
 def frac_str(f: Fraction) -> str:
@@ -44,6 +41,9 @@ def _wire_json(w):
 
 
 def strategy_json(env: ucsim.EnvStrategy) -> dict:
+    from . import ucsim
+    from .dist import outcome_sort_key
+
     if env.mode == ucsim.IMPERSONATION:
         return {"mode": "impersonation", "inject": _wire_json(env.inject)}
     (x,) = next(iter(env.msg_dist.weights))
@@ -128,6 +128,8 @@ def _reject_lift_with_recycle(args) -> None:
 
 
 def cmd_uc_distance(args) -> str:
+    from . import ucsim
+
     _reject_lift_with_recycle(args)
     fam = parse_family(args.family)
     if args.recycle:
@@ -172,6 +174,8 @@ def _parse_wire(fam, text: str):
 
 
 def cmd_impersonate(args) -> str:
+    from . import ucsim
+
     _reject_lift_with_recycle(args)
     fam = parse_family(args.family)
     target = lift_to_asu2(fam) if args.lift else fam
@@ -199,6 +203,8 @@ def cmd_impersonate(args) -> str:
 
 
 def cmd_attack(args) -> str:
+    from .attack import _attack_reports, run_attack_montecarlo
+
     fam = parse_family(args.family)
     if args.montecarlo:
         rep = run_attack_montecarlo(fam, args.rounds, trials=args.trials, seed=args.seed,
@@ -249,6 +255,8 @@ def cmd_attack(args) -> str:
 
 
 def cmd_compose(args) -> str:
+    from . import compose as compose_mod
+
     fam = parse_family(args.family)
     eps_prime = Fraction(args.qkd_eps)
     out_bits = args.qkd_bits if args.qkd_bits is not None else \
@@ -287,6 +295,8 @@ def cmd_compose(args) -> str:
 
 
 def cmd_roundtrip(args) -> str:
+    from .protocol import AuthKey, TaggedMessage, authenticate, pack_tagged, unpack_tagged, verify
+
     fam = parse_family(args.family)
     x = fam.message_from_int(args.message)
     key = AuthKey(args.k1, args.pad)

@@ -87,9 +87,13 @@ class ErrorLedger:
 def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
                    qkd: ToyQkdFunctionality,
                    budget: int = DEFAULT_BUDGET) -> tuple[ErrorLedger, Fraction]:
-    """The additive ledger and its closed-form total r*(l*eps + eps')."""
+    """The additive ledger and its closed-form total r*(l*eps + eps').
+
+    Its r*(l + 1) entries are counted against the budget before any is built.
+    """
     if qkd_rounds < 1 or auths_per_round < 1:
         raise DomainError("need at least one round of each kind")
+    check_budget(qkd_rounds * (auths_per_round + 1), budget, "error ledger")
     eps = measure_axu2(fam, budget=budget).epsilon
     entries = []
     for r in range(1, qkd_rounds + 1):

@@ -27,10 +27,11 @@ substitution gains anything.
 
 Both searches count keys in integers through one kernel (_tv_numerator) and
 build a single Fraction at the end.  The receiver's verdict depends on the key
-and the delivered wire message only, so it is computed once per candidate and
-shared by every observed y.  Each witness is re-run through run_real/run_ideal
-and VerificationFailed is raised unless the numbers agree, so a reported
-maximum never rests on the decomposition or the kernel alone.
+and the delivered wire message only, so it is computed once per candidate, for
+all keys in one verdicts() call, and shared by every observed y.  Each witness
+is re-run through run_real/run_ideal and VerificationFailed is raised unless
+the numbers agree, so a reported maximum never rests on the decomposition or
+the kernel alone.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class AuthProtocol:
     def receive(self, key, wire: tuple):
         """Message accepted under `key` for the wire input, or None."""
         raise NotImplementedError
+
+    def verdicts(self, keys: Sequence, wire: tuple) -> list:
+        """receive(key, wire) for each of `keys`, in order."""
+        return [self.receive(key, wire) for key in keys]
 
     def recycled(self, key) -> Optional[int]:
         return None
@@ -114,6 +119,14 @@ class WcProtocol(AuthProtocol):
     def receive(self, key, wire):
         xp, i, tp = self._split_wire(wire)
         return xp if self._tag(key, i) == tp else None
+
+    def verdicts(self, keys, wire):
+        """One validation of `wire`, then its tag column read from the table."""
+        xp, i, tp = self._split_wire(wire)
+        tab = self._tab
+        if self.recycles:
+            return [xp if tab[k1][i] ^ k2 == tp else None for k1, k2 in keys]
+        return [xp if tab[k][i] == tp else None for k in keys]
 
     def _split_wire(self, wire):
         try:
@@ -404,7 +417,7 @@ def worst_case_substitution(fam_or_proto, recycle: bool = False,
     best = [0] * len(groups)
     best_yp: list = [None] * len(groups)
     for yp in wire:
-        cells = list(zip([proto.receive(key, yp) for key in keys], rec))
+        cells = list(zip(proto.verdicts(keys, yp), rec))
         for g, (x, y, idx) in enumerate(groups):
             num = _tv_numerator(Counter(map(cells.__getitem__, idx)),
                                 x if yp == y else None, len(idx), nr)
@@ -432,7 +445,7 @@ def worst_case_impersonation(fam_or_proto, recycle: bool = False,
     rec, nr = _recycling(proto, keys)
     best, best_yp = -1, None
     for yp in wire:
-        cells = Counter(zip([proto.receive(key, yp) for key in keys], rec))
+        cells = Counter(zip(proto.verdicts(keys, yp), rec))
         num = _tv_numerator(cells, None, len(keys), nr)
         if num > best:
             best, best_yp = num, yp

@@ -1,10 +1,13 @@
 """Command-line interface: values, determinism, exit codes."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recmac.cli import main
 
@@ -273,3 +276,88 @@ def test_module_and_script_entry_points():
         capture_output=True, text=True,
     )
     assert r2.returncode == 2
+
+
+# -- the exit contract over drawn argv -----------------------------------------
+
+FAMILIES = [
+    "mul:m=1", "mul:m=2", "mul:m=3", "poly:m=2,L=2", "toeplitz:n=2,m=1", "toeplitz:n=2,m=2",
+    "toeplitz:n=3,m=1", "toeplitz:n=3,m=2", "counterexample:m=1", "counterexample:m=2",
+]
+MALFORMED_FAMILIES = [
+    "", "bogus:m=2", "mul", "mul:", "mul:m", "mul:m=", "mul:m=0", "mul:m=-1", "mul:m=x",
+    "mul:m=1.5", "mul:m=2,m=3", "mul:n=2", "poly:m=2", "poly:m=2,L=0", "toeplitz:n=0,m=1",
+    "toeplitz:n=2", "counterexample:m=0", "table:", "table:@", "table:@no-such-table.json",
+]
+INTS = ["0", "-1", "1", "2", "3", "5", "1.5", "x", ""]
+# --r, --rounds and --trials stay small: a huge ledger has its own refusal test
+# in test_compose.py, and the Monte Carlo is held to 1000 trials
+HUGE = INTS + ["99999999"]
+VALUES = {
+    "--family": FAMILIES * 2 + MALFORMED_FAMILIES,
+    "--budget": INTS + ["100", "10000"],
+    "--seed": HUGE,
+    "--pairs": HUGE,
+    "--rounds": INTS,
+    "--trials": INTS + ["1000"],
+    "--r": INTS,
+    "--qkd-bits": HUGE,
+    "--message": HUGE,
+    "--k1": HUGE,
+    "--pad": HUGE,
+    "--kind": ["axu2", "asu2", "bogus"],
+    "--format": ["json", "csv", "xml"],
+    "--inject": ["0,0", "1,1", "0,1,2", "1,99", "-1,0", "zap", ",", "1"],
+    "--qkd-eps": ["0", "1/100", "-1", "2", "x", "1/0"],
+}
+SWITCHES = ["--recycle", "--lift", "--identity", "--sample", "--montecarlo", "--simulate"]
+# (required flags, optional flags) of each subcommand; --trials is always given
+# so a Monte Carlo run stays at most 1000 trials
+COMMAND_FLAGS = {
+    "epsilon": ([], ["--budget", "--seed", "--kind", "--lift", "--sample", "--pairs"]),
+    "uc-distance": ([], ["--budget", "--recycle", "--lift", "--identity"]),
+    "impersonate": ([], ["--budget", "--recycle", "--lift", "--inject"]),
+    "attack": (["--rounds", "--trials"], ["--budget", "--seed", "--montecarlo"]),
+    "compose": (["--r", "--rounds"], ["--budget", "--qkd-eps", "--qkd-bits", "--simulate"]),
+    "roundtrip": (["--message", "--k1", "--pad"], []),
+    "fieldtab": ([], []),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    flags = ["--family"] + required
+    flags += draw(st.lists(st.sampled_from(optional + ["--format"]), unique=True))
+    if draw(st.integers(0, 9)) == 0:  # now and then a flag the command does not read
+        flags.append(draw(st.sampled_from(sorted(VALUES) + SWITCHES)))
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag in VALUES:
+            argv.append(draw(st.sampled_from(VALUES[flag])))
+    return argv
+
+
+def call_main(argv):
+    """(exit status, stdout, stderr) as `python -m recmac` would give them."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_every_argv_keeps_the_exit_contract(argv):
+    code, out, err = call_main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and out
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")

@@ -191,6 +191,18 @@ def test_compose_simulate_over_budget_is_one_refusal_line(capsys):
     assert err.startswith("recmac: budget refusal: ") and err.count("\n") == 1
 
 
+def test_ledger_budget_counts_its_entries(capsys):
+    qkd = ToyQkdFunctionality(2, F(0))
+    ledger, _ = compose_ledger(MulFamily(1), 2, 2, qkd, budget=6)
+    assert len(ledger.entries) == 6
+    with pytest.raises(BudgetExceeded, match="error ledger needs 6 cells, budget is 5"):
+        compose_ledger(MulFamily(1), 2, 2, qkd, budget=5)
+    assert cli_main(["compose", "--family", "mul:m=1", "--r", "2", "--rounds", "2",
+                     "--budget", "5"]) == 1
+    assert capsys.readouterr().err == \
+        "recmac: budget refusal: error ledger needs 6 cells, budget is 5\n"
+
+
 def test_simulation_memory_does_not_grow_with_tag_vectors():
     # the outcome space has 4 * 4**8 = 262144 cells; none of them is built
     fam = MulFamily(2)

@@ -473,3 +473,16 @@ def test_wc_protocol_agrees_with_protocol_module():
                     got = proto.receive((k1, k2), wire)
                     want = verify(fam, AuthKey(k1, k2), TaggedMessage(*wire))
                     assert got == want
+
+
+@pytest.mark.parametrize("proto", [
+    WcProtocol(MulFamily(2), recycle=True), WcProtocol(ToeplitzFamily(3, 2), recycle=False),
+    WcProtocol(lift_to_asu2(MulFamily(1)), recycle=False), CounterexampleProtocol(2),
+], ids=["mul2-recycle", "toeplitz3x2", "lift-mul1", "counterexample2"])
+def test_verdicts_are_receive_under_every_key(proto):
+    keys = list(proto.keys())
+    for wire in proto.wire_values():
+        assert proto.verdicts(keys, wire) == [proto.receive(key, wire) for key in keys]
+    for bad in ((0, 0, 0), (9, 0), (0, 99)):
+        with pytest.raises(DomainError):
+            proto.verdicts(keys, bad)
