@@ -223,10 +223,8 @@ def run_attack_exact(fam: HashFamily, rounds: int,
 
 def _attack_reports(fam: HashFamily, max_rounds: int, budget: int) -> list[AttackReport]:
     """run_attack_exact for rounds 1..max_rounds, counting the differences once."""
-    if max_rounds < 1:
-        return []
-    counts = _difference_counts(fam, budget)
     _check_rounds(fam, max_rounds)
+    counts = _difference_counts(fam, budget)
     return [_attack_report(fam, counts, rounds) for rounds in range(1, max_rounds + 1)]
 
 

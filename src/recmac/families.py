@@ -287,6 +287,8 @@ class TableFamily(HashFamily):
             table = doc["table"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed table file {path}: {exc}") from None
+        if not isinstance(table, list):
+            raise DomainError(f"malformed table file {path}: 'table' must be a list of rows")
         if keys != len(table):
             raise DomainError(f"{path}: 'keys' is {keys} but table has {len(table)} rows")
         return cls(messages, table, m=doc.get("m"), source=f"@{path}")

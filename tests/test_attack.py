@@ -113,9 +113,12 @@ def test_attack_rows_count_the_differences_once(build, monkeypatch):
                         lambda *a: calls.append(a) or real(*a))
     assert attack._attack_reports(fam, rows, DEFAULT_BUDGET) == expected
     assert len(calls) == 1
-    assert attack._attack_reports(fam, 0, 1) == []
+    with pytest.raises(DomainError, match=f"rounds must be in 1..{rows}"):
+        attack._attack_reports(fam, 0, 1)
     with pytest.raises(DomainError, match=f"rounds must be in 1..{rows}"):
         attack._attack_reports(fam, rows + 1, DEFAULT_BUDGET)
+    with pytest.raises(DomainError, match=f"rounds must be in 1..{rows}"):
+        attack._attack_reports(fam, rows + 1, 1)   # checked before the budget
     with pytest.raises(BudgetExceeded):
         attack._attack_reports(build(), 1, 1)
 

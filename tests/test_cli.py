@@ -1,5 +1,6 @@
 """Command-line interface: values, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -176,6 +177,18 @@ def test_sampling_without_pairs_is_a_usage_error(capsys):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+def test_attack_without_rounds_is_a_usage_error(capsys, rounds, fmt):
+    assert run_main("attack", "--family", "mul:m=2", "--rounds", rounds, "--format", fmt) == 2
+    assert one_error_line(capsys)
+
+
+def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
+    assert run_main("epsilon", "--family", "mul:m=2", out=tmp_path / "no" / "out.json") == 2
+    assert one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["uc-distance", "impersonate"])
 def test_lift_with_recycle_is_a_usage_error(capsys, command):
     assert run_main(command, "--family", "mul:m=2", "--recycle", "--lift") == 2
@@ -192,6 +205,7 @@ def test_lift_with_recycle_is_a_usage_error(capsys, command):
      "--budget", "9"),
     ("fieldtab", "--family", "mul:m=2", "--seed", "1"),
     ("fieldtab", "--family", "mul:m=2", "--budget", "9"),
+    ("compose", "--family", "mul:m=2", "--r", "1", "--rounds", "1", "--qkd-bits", "2"),
 ], ids=lambda a: a[0] + a[-2])
 def test_flags_a_command_does_not_read_are_usage_errors(capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -225,6 +239,14 @@ def test_montecarlo_and_sampling_refuse_over_budget(capsys):
 @pytest.mark.parametrize("table", [[["a", 1], [1, 0]], [[True, 1], [1, 0]]],
                          ids=["string", "bool"])
 def test_table_with_non_integer_tags_is_a_usage_error(tmp_path, capsys, table):
+    famfile = tmp_path / "fam.json"
+    famfile.write_text(json.dumps({"keys": 2, "messages": [0, 1], "table": table}))
+    assert run_main("epsilon", "--family", f"table:@{famfile}") == 2
+    assert one_error_line(capsys)
+
+
+@pytest.mark.parametrize("table", [5, None, True, 1.5, "01", {"0": [0], "1": [1]}])
+def test_table_that_is_not_a_list_of_rows_is_a_usage_error(tmp_path, capsys, table):
     famfile = tmp_path / "fam.json"
     famfile.write_text(json.dumps({"keys": 2, "messages": [0, 1], "table": table}))
     assert run_main("epsilon", "--family", f"table:@{famfile}") == 2
@@ -318,7 +340,7 @@ COMMAND_FLAGS = {
     "uc-distance": ([], ["--budget", "--recycle", "--lift", "--identity"]),
     "impersonate": ([], ["--budget", "--recycle", "--lift", "--inject"]),
     "attack": (["--rounds", "--trials"], ["--budget", "--seed", "--montecarlo"]),
-    "compose": (["--r", "--rounds"], ["--budget", "--qkd-eps", "--qkd-bits", "--simulate"]),
+    "compose": (["--r", "--rounds"], ["--budget", "--qkd-eps", "--simulate"]),
     "roundtrip": (["--message", "--k1", "--pad"], []),
     "fieldtab": ([], []),
 }
@@ -351,13 +373,125 @@ def call_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=300, deadline=None)
-@given(cli_argv())
-def test_every_argv_keeps_the_exit_contract(argv):
-    code, out, err = call_main(argv)
+def keeps_the_exit_contract(code, out, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 0:
         assert err == "" and out
     else:
         assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_every_argv_keeps_the_exit_contract(argv):
+    keeps_the_exit_contract(*call_main(argv))
+
+
+# -- the exit contract over drawn table files -------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([1.5, "a", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["keys", "messages", "table", "m"]), inner, max_size=4),
+    max_leaves=12,
+)
+TABLE_MESSAGES = st.integers(0, 3) | st.sampled_from(["a", "b"]) \
+    | st.lists(st.integers(0, 1), max_size=2)
+
+
+@st.composite
+def table_document(draw):
+    """A small table file; now and then a field, or the whole file, is of the wrong shape."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(JSON_VALUES)
+    nk, nm = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    doc = {
+        "keys": nk,
+        "messages": draw(st.lists(TABLE_MESSAGES, min_size=nm, max_size=nm,
+                                  unique_by=json.dumps)),
+        "table": draw(st.lists(st.lists(st.integers(0, 3), min_size=nm, max_size=nm),
+                               min_size=nk, max_size=nk)),
+    }
+    if draw(st.booleans()):
+        doc["m"] = draw(st.integers(0, 3))
+    if draw(st.integers(0, 3)) == 0:
+        doc[draw(st.sampled_from(["keys", "messages", "table", "m"]))] = draw(JSON_VALUES)
+    return doc
+
+
+TABLE_COMMANDS = [
+    ["epsilon"], ["epsilon", "--kind", "asu2", "--lift"], ["epsilon", "--sample", "--pairs", "5"],
+    ["uc-distance"], ["uc-distance", "--recycle", "--identity"], ["impersonate", "--recycle"],
+    ["impersonate", "--inject", "0,1"], ["attack", "--rounds", "1"],
+    ["attack", "--rounds", "2", "--montecarlo", "--trials", "20"],
+    ["compose", "--r", "1", "--rounds", "1", "--simulate"],
+    ["roundtrip", "--message", "0", "--k1", "1", "--pad", "0"], ["fieldtab"],
+]
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS, ids=" ".join)
+@settings(max_examples=40, deadline=None)
+@given(doc=table_document(), fmt=st.sampled_from(["json", "csv"]))
+def test_every_table_file_keeps_the_exit_contract(tmp_path_factory, command, doc, fmt):
+    famfile = tmp_path_factory.getbasetemp() / "drawn-table.json"
+    famfile.write_text(json.dumps(doc))
+    argv = [command[0], "--family", f"table:@{famfile}", *command[1:], "--format", fmt]
+    keeps_the_exit_contract(*call_main(argv))
+
+
+# -- stdout pins ------------------------------------------------------------------
+
+# Tables the pins read, under relative names so that the family descriptor, and
+# with it the output, does not depend on the directory the test runs in.
+PIN_TABLES = {
+    "one.json": {"keys": 2, "messages": [0], "table": [[0], [1]]},
+    "pairs.json": {"keys": 4, "messages": [[0, 1], [1, 0], [1, 1]],
+                   "table": [[0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 0, 0]]},
+    "words.json": {"keys": 2, "messages": ["a", True], "table": [[0, 1], [1, 0]]},
+}
+# sha256 of stdout, for output shapes the perfbench references do not cover
+STDOUT_PINS = [
+    ("epsilon --family mul:m=3 --format csv",
+     "bed5febf129be2169b3a950c713c9d030108cac6dcd3c1f12049574b60e3ef10"),
+    ("epsilon --family mul:m=5 --sample --pairs 50 --seed 7 --format csv",
+     "24215aa3db6676dc28d9e0673b56b8d9c8f22aa21cc01571da75bb0fb17816b8"),
+    ("epsilon --family table:@one.json --format csv",
+     "ad2a9d78b2c25c889dbc8e4abbd5fc10a1567ab131647653af0cf4d130b3200b"),
+    ("epsilon --family table:@pairs.json --format csv",
+     "a5a4e909dd6332c8cac64b412861f9b37a37542ea9f47ffe50b08eb7c24e951a"),
+    ("uc-distance --family mul:m=2 --identity --format csv",
+     "04bb1ef5d0190c36d0b073730b55fce6e52c5d07e7c9e79fae6d1eceed3460ba"),
+    ("uc-distance --family mul:m=2 --recycle --identity --format csv",
+     "2e7cc010b71d2e7ea2c112399311d9929938bb2c23faee11445c7e6d83568d1e"),
+    ("uc-distance --family mul:m=2 --lift --format csv",
+     "41556cfb4747e87ae01817c28d9d832ec85005904b050d1c8b18248cacf2f971"),
+    ("impersonate --family mul:m=2 --recycle --format csv",
+     "5afe285b01cfe1aa49f38d9b89967d93829797cdd60fb9cae6a58d684fb2f81a"),
+    ("impersonate --family mul:m=2 --inject 1,3 --format csv",
+     "105d8fce4dd8d45ee53f6e4e83bb8cefb8b4db5c1f0be76c841623fa2b4a46af"),
+    ("attack --family mul:m=3 --rounds 3 --format json",
+     "f7df5075dcf40bc0bf351c161c0ea4fb21a44206299f75c424ae8ba2f75b64c1"),
+    ("attack --family mul:m=4 --rounds 2 --montecarlo --trials 500 --seed 1",
+     "d822c1ea553aa977abed93936fa27ee753634f8ca0fa861e41b44637fbc836ea"),
+    ("compose --family mul:m=2 --r 2 --rounds 2 --qkd-eps 1/100 --simulate --format json",
+     "7f6b7764e0cecc1e2c81bd874152c8010504fd9c5cda32ebf4bbdcfa7ca83933"),
+    ("roundtrip --family poly:m=2,L=2 --message 6 --k1 3 --pad 1 --format csv",
+     "8409c5fe40a48234425f9f78bd4a004118ce4ad38514dccdf9d05fd33161d8ac"),
+    ("roundtrip --family table:@words.json --message 0 --k1 0 --pad 0 --format csv",
+     "1721962e0ccd3134e2731fbabb898e33de87111062a96ec1bd23c67ce238cc55"),
+    ("roundtrip --family table:@words.json --message 1 --k1 1 --pad 0 --format csv",
+     "5879824df334587947e7c2e679253bad2c2170d1299e044eb844daeb0c5cfcc6"),
+    ("fieldtab --family mul:m=2 --format json",
+     "f57d50001fa50ad44a7dc4bbedd88db876ab4b750a3a1980b360a324b70580a5"),
+]
+
+
+@pytest.mark.parametrize("command, digest", STDOUT_PINS, ids=[c for c, _ in STDOUT_PINS])
+def test_stdout_is_pinned(tmp_path, monkeypatch, command, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PIN_TABLES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = call_main(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recmac import (
     AuthKey,
+    CounterexampleFamily,
     DomainError,
     KeyStream,
     MulFamily,
@@ -15,6 +17,7 @@ from recmac import (
     TaggedMessage,
     ToeplitzFamily,
     authenticate,
+    lift_to_asu2,
     pack_tagged,
     unpack_tagged,
     verify,
@@ -107,6 +110,21 @@ def test_unpack_validates():
         unpack_tagged(fam, b"\x05\x00")   # message beyond 2 bits
     with pytest.raises(DomainError):
         pack_tagged(fam, TaggedMessage(0, 4))
+
+
+WIRE_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(9), PolyFamily(4, 2), PolyFamily(3, 3),
+                 ToeplitzFamily(4, 3), ToeplitzFamily(9, 2), CounterexampleFamily(2),
+                 lift_to_asu2(MulFamily(2)), TableFamily(["a", [1, 2], 3], [[0, 1, 2]])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(WIRE_FAMILIES), st.binary(max_size=5))
+def test_unpack_of_any_bytes_raises_only_domain_error(fam, data):
+    try:
+        ym = unpack_tagged(fam, data)
+    except DomainError:
+        return
+    assert pack_tagged(fam, ym) == data
 
 
 def test_forgery_rate_bounded_by_family_epsilon():

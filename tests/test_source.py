@@ -28,3 +28,30 @@ def test_no_assert_statements_in_the_package():
 def test_no_assert_statements_in_the_scripts():
     assert len(SCRIPTS) >= 3
     assert assert_statements(SCRIPTS) == []
+
+
+# main alone turns --family into a family and picks the output format, and
+# _render alone writes it; the handlers only compute
+CLI_ONE_CALLER = {"parse_family": "main", "lift_to_asu2": "main", "_render": "main",
+                  "_dump_json": "_render", "_dump_csv": "_render"}
+
+
+def cli_one_caller_sites():
+    tree = ast.parse((Path(recmac.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    sites = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "format" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "args":
+                sites.add((fn.name, "args.format"))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in CLI_ONE_CALLER:
+                sites.add((fn.name, node.func.id))
+    return sites
+
+
+def test_only_main_parses_the_family_and_picks_the_format():
+    assert cli_one_caller_sites() == {("main", "args.format")} | {
+        (caller, name) for name, caller in CLI_ONE_CALLER.items()}
