@@ -25,18 +25,36 @@ independently.  Ties break toward the earliest candidate in canonical order
 (messages in family order, tags ascending), and identity is kept wherever no
 substitution gains anything.
 
-Both searches count keys in integers through one kernel (_tv_numerator) and
-build a single Fraction at the end.  The receiver's verdict depends on the key
-and the delivered wire message only, so it is computed once per candidate, for
-all keys in one verdicts() call, and shared by every observed y.  Each witness
-is re-run through run_real/run_ideal and VerificationFailed is raised unless
-the numbers agree, so a reported maximum never rests on the decomposition or
-the kernel alone.
+Both searches count keys with integer bitmasks through one kernel
+(_tv_numerator) and build a single Fraction at the end.  The kernel rests on
+an identity.  Take a y-group of n keys and nr recycled values, and let m_r be
+the number of keys with recycled value r whose real verdict equals the ideal
+one, out0.  The real world puts m_r/n on each (out0, r), the ideal world 1/nr,
+and every other real cell has no ideal mass, so 2*n*nr times the distance is
+
+    2 * (n*nr - sum_r min(nr*m_r, n)).
+
+A recycled value that occurs at most n/nr times in the group has
+nr*m_r <= n, so the terms of all such values sum to nr times the popcount of
+the agreeing keys among them.  Only a value that occurs more often ("saturating") keeps its own
+mask and adds min(nr*popcount, n).  The shipped protocols never saturate:
+without recycling nr = 1, and with recycling the pad is fixed once k1 and y
+are known, so each k1 occurs once in a group of n = nr = |K1| keys.
+
+The receiver's verdict depends on the key and the delivered wire message
+only, so it is computed once per candidate, for all keys in one verdicts()
+call, and turned into a mask of the rejecting keys, shared by every observed
+y; a group that sent the candidate unmodified instead counts the keys whose
+verdict is its own message.  Group masks are built once, one bit per key
+index.  Impersonation is the same kernel on one group of all keys with
+out0 = None.  Each witness is re-run through run_real/run_ideal and
+VerificationFailed is raised unless the numbers agree, so a reported maximum
+never rests on the decomposition or the kernel alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -353,29 +371,54 @@ def _search_budget(fam_or_proto, recycle: bool,
     nkeys = _key_count(fam_or_proto, recycle)
     nx = len(fam_or_proto.messages)
     if isinstance(fam_or_proto, HashFamily):
+        wire = None
         nwire = nx * fam_or_proto.tag_count
     else:
-        nwire = len(fam_or_proto.wire_values())
+        wire = fam_or_proto.wire_values()
+        nwire = len(wire)
     check_budget(nx * nkeys * (1 + nwire), budget, "worst-case search")
     proto = as_protocol(fam_or_proto, recycle, budget)
-    return proto, list(proto.keys()), proto.wire_values()
+    return proto, list(proto.keys()), proto.wire_values() if wire is None else wire
 
 
-def _tv_numerator(cells: Mapping[tuple, int], out0, n: int, nr: int) -> int:
+def _mask(flags) -> int:
+    """The bitmask with bit i set iff flags[i] is true."""
+    return int("".join(["1" if f else "0" for f in flags])[::-1], 2)
+
+
+def _group(idx, rec: list, nr: int) -> tuple[int, int, tuple]:
+    """(n, plain, saturating) for a group of n key indices.
+
+    Keys whose recycled value occurs at most n/nr times in the group are set
+    in `plain`; each value that occurs more often keeps its own mask in
+    `saturating`.
+    """
+    by_r: dict = defaultdict(int)
+    for i in idx:
+        by_r[rec[i]] |= 1 << i
+    n = len(idx)
+    plain, saturating = 0, []
+    for m in by_r.values():
+        if nr * m.bit_count() > n:
+            saturating.append(m)
+        else:
+            plain |= m
+    return n, plain, tuple(saturating)
+
+
+def _tv_numerator(agree: int, group: tuple[int, int, tuple], nr: int) -> int:
     """2*n*nr times the TV distance between the two worlds' (out, k1) laws.
 
-    `cells` counts n real keys by (out, k1); the ideal world puts 1/nr on each
-    (out0, k1).  The result is sum |c*nr - n*[out = out0]| over real and ideal
-    cells, an ideal cell without real keys adding n.  Real k1 values are among
-    the nr recycled ones, so a real cell with out = out0 is an ideal cell.
+    `agree` masks the keys whose real verdict equals the ideal one, out0.  The
+    ideal world puts 1/nr on each (out0, k1); with m_r keys of recycled value
+    r agreeing, the distance sum is 2*(n*nr - sum_r min(nr*m_r, n)) (module
+    docstring), and min(nr*m_r, n) = nr*m_r off the saturating values.
     """
-    total = n * nr
-    for (out, _), c in cells.items():
-        if out == out0:
-            total += abs(c * nr - n) - n
-        else:
-            total += c * nr
-    return total
+    n, plain, saturating = group
+    total = n * nr - nr * (agree & plain).bit_count()
+    for m in saturating:
+        total -= min(nr * (agree & m).bit_count(), n)
+    return 2 * total
 
 
 def _recycling(proto: AuthProtocol, keys: list) -> tuple[list, int]:
@@ -405,25 +448,28 @@ def worst_case_substitution(fam_or_proto, recycle: bool = False,
     """
     proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
     rec, nr = _recycling(proto, keys)
-    groups = []  # (x, y, indices of the keys sending y on x), y ascending per x
+    groups = []  # (x, y, the group of keys sending y on x), y ascending per x
     spans = []   # (x, its first group, the group after its last)
     for x in proto.messages:
         by_y: dict[tuple, list] = defaultdict(list)
         for i, key in enumerate(keys):
             by_y[proto.encode(key, x)].append(i)
         lo = len(groups)
-        groups.extend((x, y, by_y[y]) for y in sorted(by_y, key=outcome_sort_key))
+        groups.extend((x, y, _group(by_y[y], rec, nr))
+                      for y in sorted(by_y, key=outcome_sort_key))
         spans.append((x, lo, len(groups)))
     best = [0] * len(groups)
     best_yp: list = [None] * len(groups)
     for yp in wire:
-        cells = list(zip(proto.verdicts(keys, yp), rec))
-        for g, (x, y, idx) in enumerate(groups):
-            num = _tv_numerator(Counter(map(cells.__getitem__, idx)),
-                                x if yp == y else None, len(idx), nr)
+        verdicts = proto.verdicts(keys, yp)
+        rejected = _mask([v is None for v in verdicts])
+        for g, (x, y, group) in enumerate(groups):
+            # the ideal receiver outputs x on unmodified delivery, else None
+            agree = _mask([v == x for v in verdicts]) if yp == y else rejected
+            num = _tv_numerator(agree, group, nr)
             if num > best[g]:
                 best[g], best_yp[g] = num, yp
-    # group numerators share the denominator 2*|keys|*nr: P(y) = |idx|/|keys|
+    # group numerators share the denominator 2*|keys|*nr: P(y) = n/|keys|
     best_total = best_env = None
     for x, lo, hi in spans:
         total = sum(best[lo:hi])
@@ -438,15 +484,15 @@ def worst_case_impersonation(fam_or_proto, recycle: bool = False,
                              budget: int = DEFAULT_BUDGET) -> tuple[Fraction, EnvStrategy]:
     """Maximal distance over all injectable wire messages.
 
-    The ideal receiver rejects every injection, so the kernel compares the
-    real (out, k1) counts over all keys with out0 = None.
+    The ideal receiver rejects every injection, so the kernel takes one group
+    of all keys, with out0 = None.
     """
     proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
     rec, nr = _recycling(proto, keys)
+    group = _group(range(len(keys)), rec, nr)
     best, best_yp = -1, None
     for yp in wire:
-        cells = Counter(zip(proto.verdicts(keys, yp), rec))
-        num = _tv_numerator(cells, None, len(keys), nr)
+        num = _tv_numerator(_mask([v is None for v in proto.verdicts(keys, yp)]), group, nr)
         if num > best:
             best, best_yp = num, yp
     return _verified(proto, Fraction(best, 2 * len(keys) * nr),

@@ -9,11 +9,15 @@ obviously, so a library bug cannot hide in a shared helper.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
-from recmac import LIST_ELIMINATION, MulFamily, TableFamily, lift_to_asu2
+from recmac import (
+    LIST_ELIMINATION, EnvStrategy, HashFamily, MulFamily, TableFamily, WcProtocol,
+    lift_to_asu2, outcome_sort_key,
+)
 
 
 # -- GF(2)[x] schoolbook arithmetic -------------------------------------------
@@ -207,6 +211,76 @@ def impersonation_tv_oracle(fam, wire: tuple, recycle: bool) -> Fraction:
     for cell in real.keys() | ideal.keys():
         diff += abs(real.get(cell, 0) - ideal.get(cell, 0))
     return Fraction(diff, 2 * denom)
+
+
+# -- worst-case search oracle ---------------------------------------------------
+#
+# The per-y worst-case search as it first stood in the library: for every
+# candidate wire message and every y-group, a Counter of the group's keys by
+# (verdict, recycled value), scored against the ideal law that puts 1/nr on
+# each (out0, k1).  It runs on the protocol interface alone (keys, encode,
+# verdicts, recycled, wire_values) and keeps the library's tie-breaks: the
+# first strict maximum in wire order per group, then per message.
+
+
+def counter_tv_numerator(cells, out0, n: int, nr: int) -> int:
+    """2*n*nr times the TV distance between the two worlds' (out, k1) laws.
+
+    `cells` counts n real keys by (out, k1); the ideal world puts 1/nr on each
+    (out0, k1).  The result is sum |c*nr - n*[out = out0]| over real and ideal
+    cells, an ideal cell without real keys adding n.  Real k1 values are among
+    the nr recycled ones, so a real cell with out = out0 is an ideal cell.
+    """
+    total = n * nr
+    for (out, _), c in cells.items():
+        if out == out0:
+            total += abs(c * nr - n) - n
+        else:
+            total += c * nr
+    return total
+
+
+def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, EnvStrategy]:
+    """(distance, witness) of the worst-case search in `mode`, unverified."""
+    proto = WcProtocol(target, recycle) if isinstance(target, HashFamily) else target
+    keys = list(proto.keys())
+    wire = proto.wire_values()
+    rec = [proto.recycled(key) for key in keys]
+    nr = len(proto.recycled_values()) if proto.recycles else 1
+    if mode == "impersonation":
+        best, best_yp = -1, None
+        for yp in wire:
+            cells = Counter(zip(proto.verdicts(keys, yp), rec))
+            num = counter_tv_numerator(cells, None, len(keys), nr)
+            if num > best:
+                best, best_yp = num, yp
+        return Fraction(best, 2 * len(keys) * nr), EnvStrategy.impersonate(best_yp)
+    groups = []  # (x, y, indices of the keys sending y on x), y ascending per x
+    spans = []   # (x, its first group, the group after its last)
+    for x in proto.messages:
+        by_y: dict[tuple, list] = defaultdict(list)
+        for i, key in enumerate(keys):
+            by_y[proto.encode(key, x)].append(i)
+        lo = len(groups)
+        groups.extend((x, y, by_y[y]) for y in sorted(by_y, key=outcome_sort_key))
+        spans.append((x, lo, len(groups)))
+    best = [0] * len(groups)
+    best_yp: list = [None] * len(groups)
+    for yp in wire:
+        cells = list(zip(proto.verdicts(keys, yp), rec))
+        for g, (x, y, idx) in enumerate(groups):
+            num = counter_tv_numerator(Counter(map(cells.__getitem__, idx)),
+                                       x if yp == y else None, len(idx), nr)
+            if num > best[g]:
+                best[g], best_yp[g] = num, yp
+    best_total = best_env = None
+    for x, lo, hi in spans:
+        total = sum(best[lo:hi])
+        if best_total is None or total > best_total:
+            best_total = total
+            best_env = EnvStrategy.substitute(x, {
+                groups[g][1]: best_yp[g] for g in range(lo, hi) if best_yp[g] is not None})
+    return Fraction(best_total, 2 * len(keys) * nr), best_env
 
 
 # -- composition oracle -------------------------------------------------------

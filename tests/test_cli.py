@@ -388,6 +388,45 @@ def test_every_argv_keeps_the_exit_contract(argv):
     keeps_the_exit_contract(*call_main(argv))
 
 
+# -- the exit contract over drawn family descriptors ------------------------------
+
+FAMILY_PARAMS = {"mul": ["m"], "poly": ["m", "L"], "toeplitz": ["n", "m"],
+                 "counterexample": ["m"]}
+ODD_KINDS = ["table", "MUL", " toeplitz ", "bogus", ""]
+PARAM_NAMES = ["m", "n", "L", "l", " M", "x", ""]
+# values stay small or far out of range: mul:m=12 alone takes seconds
+GOOD_VALUES = ["1", "2", "3", "0_2", " 2 ", "+2", "\u0663"]
+PARAM_VALUES = GOOD_VALUES + ["-1", "0", "-0", "17", "99999999", "1.5", "0x3", "2e0", "x", ""]
+# no "/", so a drawn table path stays relative and names no device
+NOISE = st.text(alphabet=":=,@ .-_mnL0123x\n\x00", max_size=10)
+
+
+@st.composite
+def family_descriptor(draw):
+    """kind:key=value,... with the kind's own keys or with drawn ones."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(NOISE)
+    kind = draw(st.sampled_from(sorted(FAMILY_PARAMS) + ODD_KINDS))
+    if kind in FAMILY_PARAMS and draw(st.integers(0, 3)) > 0:
+        names = FAMILY_PARAMS[kind]
+        seps = ["="] * len(names)
+        value = st.sampled_from(GOOD_VALUES) | st.sampled_from(PARAM_VALUES)
+    else:
+        names = draw(st.lists(st.sampled_from(PARAM_NAMES), max_size=3))
+        seps = [draw(st.sampled_from(["=", "", "=="])) for _ in names]
+        value = st.sampled_from(PARAM_VALUES)
+    values = [draw(value) for _ in names]
+    desc = kind + draw(st.sampled_from([":", ":", ":", "", "::"]))
+    desc += ",".join(map("".join, zip(names, seps, values)))
+    return desc + draw(st.sampled_from(["", "", "", " ", ",", "@"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_descriptor(), st.sampled_from(["json", "csv"]))
+def test_every_family_descriptor_keeps_the_exit_contract(desc, fmt):
+    keeps_the_exit_contract(*call_main(["epsilon", "--family", desc, "--format", fmt]))
+
+
 # -- the exit contract over drawn table files -------------------------------------
 
 JSON_VALUES = st.recursive(

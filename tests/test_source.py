@@ -55,3 +55,36 @@ def cli_one_caller_sites():
 def test_only_main_parses_the_family_and_picks_the_format():
     assert cli_one_caller_sites() == {("main", "args.format")} | {
         (caller, name) for name, caller in CLI_ONE_CALLER.items()}
+
+
+# the worst-case searches count keys by bitmasks: no Counter in ucsim, and the
+# numerator and its popcounts come from the one kernel
+UCSIM = Path(recmac.__file__).parent / "ucsim.py"
+
+
+def calls_by_function(path):
+    """{function name: the functions and methods it calls}."""
+    found = {}
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(fn, ast.FunctionDef):
+            found[fn.name] = {
+                c.func.id if isinstance(c.func, ast.Name) else c.func.attr
+                for c in ast.walk(fn) if isinstance(c, ast.Call)
+                and isinstance(c.func, (ast.Name, ast.Attribute))}
+    return found
+
+
+def test_ucsim_builds_no_counter():
+    tree = ast.parse(UCSIM.read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "Counter"
+                or isinstance(node, ast.Attribute) and node.attr == "Counter"
+                or isinstance(node, ast.alias) and node.name == "Counter"]
+
+
+def test_both_searches_count_through_the_one_kernel():
+    found = calls_by_function(UCSIM)
+    callers = {name for name, calls in found.items() if "_tv_numerator" in calls}
+    assert callers == {"worst_case_substitution", "worst_case_impersonation"}
+    popcounts = {name for name, calls in found.items() if "bit_count" in calls}
+    assert popcounts == {"_tv_numerator", "_group"}
