@@ -2,9 +2,10 @@
 
 A Dist pairs a tuple of field names with a map from outcome tuples to
 Fraction weights.  Weights must be non-negative rationals summing to exactly
-1; that is asserted at construction, so any distribution that escapes this
-module is normalized.  Comparing two distributions with different field
-schemas is a bug in the caller, not a distance of 1: it raises.
+1, summed as integers over their least common denominator; construction
+raises ValueError otherwise, so every Dist that escapes this module is
+normalized, under python -O too.  Comparing distributions with different
+field schemas is a bug in the caller, not a distance of 1: it raises.
 
 Distances between a real and an ideal execution are total variation:
 half the L1 difference over the union of supports.  Marginalization is an
@@ -13,7 +14,9 @@ explicit projection onto a subset of the fields, never implicit.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import SchemaMismatch
@@ -49,19 +52,20 @@ class Dist:
     def __init__(self, fields: Iterable[str], weights: Mapping[tuple, Fraction]):
         self.fields = tuple(fields)
         clean: dict[tuple, Fraction] = {}
-        total = ZERO
+        numerators: dict[int, int] = defaultdict(int)  # summed per denominator
         for outcome, w in weights.items():
             if not isinstance(outcome, tuple) or len(outcome) != len(self.fields):
                 raise ValueError(f"outcome {outcome!r} does not match fields {self.fields}")
-            w = Fraction(w)
-            if w < 0:
+            w = w if type(w) is Fraction else Fraction(w)
+            if w.numerator < 0:
                 raise ValueError(f"negative weight {w} at {outcome!r}")
-            if w == 0:
-                continue
-            clean[outcome] = w
-            total += w
-        if total != ONE:
-            raise ValueError(f"weights sum to {total}, not 1")
+            if w:
+                clean[outcome] = w
+                numerators[w.denominator] += w.numerator
+        denom = lcm(*numerators)
+        total = sum(n * (denom // d) for d, n in numerators.items())
+        if total != denom:
+            raise ValueError(f"weights sum to {Fraction(total, denom)}, not 1")
         self.weights = clean
 
     # -- constructors --------------------------------------------------------
@@ -112,11 +116,11 @@ class Dist:
             idx = [self.fields.index(f) for f in fields]
         except ValueError as exc:
             raise SchemaMismatch(f"{exc}; have fields {self.fields}") from None
-        acc: dict[tuple, Fraction] = {}
+        denom = lcm(*(w.denominator for w in self.weights.values()))
+        acc: dict[tuple, int] = defaultdict(int)
         for outcome, w in self.weights.items():
-            key = tuple(outcome[i] for i in idx)
-            acc[key] = acc.get(key, ZERO) + w
-        return Dist(fields, acc)
+            acc[tuple([outcome[i] for i in idx])] += w.numerator * (denom // w.denominator)
+        return Dist(fields, {o: Fraction(c, denom) for o, c in acc.items()})
 
 
 def statistical_distance(p: Dist, q: Dist) -> Fraction:

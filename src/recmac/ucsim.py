@@ -41,15 +41,17 @@ mask and adds min(nr*popcount, n).  The shipped protocols never saturate:
 without recycling nr = 1, and with recycling the pad is fixed once k1 and y
 are known, so each k1 occurs once in a group of n = nr = |K1| keys.
 
-The receiver's verdict depends on the key and the delivered wire message
-only, so it is computed once per candidate, for all keys in one verdicts()
-call, and turned into a mask of the rejecting keys, shared by every observed
-y; a group that sent the candidate unmodified instead counts the keys whose
-verdict is its own message.  Group masks are built once, one bit per key
-index.  Impersonation is the same kernel on one group of all keys with
+One private search serves all three public ones.  The receiver's verdict
+depends on the key and the delivered wire message only, so each wire value
+gets one verdicts() call for all keys, turned into a mask of the rejecting
+keys that every observed y shares; a group that sent the wire unmodified
+instead counts the keys whose verdict is its own message.  Impersonation is
+one more group in the same loop: all keys, never reached unmodified, so
 out0 = None.  Each witness is re-run through run_real/run_ideal and
 VerificationFailed is raised unless the numbers agree, so a reported maximum
-never rests on the decomposition or the kernel alone.
+never rests on the decomposition or the kernel alone.  The runs loop over
+the same (x, y-group) deliveries, take verdicts() per group, and count
+integers over one denominator, building one Fraction per outcome.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .dist import Dist, outcome_sort_key, statistical_distance
@@ -74,8 +77,20 @@ def _is_wire(v) -> bool:
     return isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int)
 
 
+def _split_wire(fam: HashFamily, wire) -> tuple:
+    """(message, its index in `fam`, tag) of a wire message; DomainError if it is none."""
+    try:
+        xp, tp = wire
+    except (TypeError, ValueError):
+        raise DomainError(f"wire message must be (message, tag), got {wire!r}") from None
+    i = fam.message_index(xp)
+    if not isinstance(tp, int) or not 0 <= tp < fam.tag_count:
+        raise DomainError(f"tag {tp!r} out of range for {fam.descriptor()}")
+    return xp, i, tp
+
+
 class AuthProtocol:
-    """One-round protocol interface the executions run against."""
+    """One-round protocol interface; a protocol defines receive, verdicts or both."""
 
     messages: Sequence
     recycles: bool = False
@@ -88,7 +103,7 @@ class AuthProtocol:
 
     def receive(self, key, wire: tuple):
         """Message accepted under `key` for the wire input, or None."""
-        raise NotImplementedError
+        return self.verdicts([key], wire)[0]
 
     def verdicts(self, keys: Sequence, wire: tuple) -> list:
         """receive(key, wire) for each of `keys`, in order."""
@@ -124,37 +139,20 @@ class WcProtocol(AuthProtocol):
             ]
         return list(range(self.fam.key_count))
 
-    def _tag(self, key, i: int) -> int:
-        """The wire tag of message number i under `key`."""
+    def encode(self, key, x):
+        i = self.fam.message_index(x)
         if self.recycles:
             k1, k2 = key
-            return self._tab[k1][i] ^ k2
-        return self._tab[key][i]
-
-    def encode(self, key, x):
-        return (x, self._tag(key, self.fam.message_index(x)))
-
-    def receive(self, key, wire):
-        xp, i, tp = self._split_wire(wire)
-        return xp if self._tag(key, i) == tp else None
+            return (x, self._tab[k1][i] ^ k2)
+        return (x, self._tab[key][i])
 
     def verdicts(self, keys, wire):
         """One validation of `wire`, then its tag column read from the table."""
-        xp, i, tp = self._split_wire(wire)
+        xp, i, tp = _split_wire(self.fam, wire)
         tab = self._tab
         if self.recycles:
             return [xp if tab[k1][i] ^ k2 == tp else None for k1, k2 in keys]
         return [xp if tab[k][i] == tp else None for k in keys]
-
-    def _split_wire(self, wire):
-        try:
-            xp, tp = wire
-        except (TypeError, ValueError):
-            raise DomainError(f"wire message must be (message, tag), got {wire!r}") from None
-        i = self.fam.message_index(xp)
-        if not isinstance(tp, int) or not 0 <= tp < self.fam.tag_count:
-            raise DomainError(f"tag {tp!r} out of range for {self.fam.descriptor()}")
-        return xp, i, tp
 
     def recycled(self, key):
         return key[0] if self.recycles else None
@@ -182,7 +180,6 @@ class CounterexampleProtocol(AuthProtocol):
         self.fam = CounterexampleFamily(m)
         self.messages = range(2)
         self._tab = self.fam.tag_table()
-        self.recycles = False
 
     def keys(self):
         return [(a, b) for a in range(2) for b in range(self.fam.key_count)]
@@ -192,17 +189,10 @@ class CounterexampleProtocol(AuthProtocol):
         w = x ^ a
         return (w, self._tab[b][w])
 
-    def receive(self, key, wire):
-        a, b = key
-        try:
-            wp, tp = wire
-        except (TypeError, ValueError):
-            raise DomainError(f"wire message must be (bit, tag), got {wire!r}") from None
-        if wp not in (0, 1):
-            raise DomainError(f"carrier bit must be 0 or 1, got {wp!r}")
-        if not isinstance(tp, int) or not 0 <= tp < self.fam.tag_count:
-            raise DomainError(f"tag {tp!r} out of range")
-        return (wp ^ a) if self._tab[b][wp] == tp else None
+    def verdicts(self, keys, wire):
+        _, w, tp = _split_wire(self.fam, wire)
+        tab = self._tab
+        return [(w ^ a) if tab[b][w] == tp else None for a, b in keys]
 
     def wire_values(self):
         return [(w, t) for w in range(2) for t in self.fam.tags()]
@@ -270,13 +260,6 @@ class EnvStrategy:
         return self.subst.get(y, y)
 
 
-def _finish(acc, nonrec_fields, proto: AuthProtocol) -> Dist:
-    d = Dist(nonrec_fields + ("k1",), acc)
-    if not proto.recycles:
-        d = d.project(nonrec_fields)  # the declared marginalization step
-    return d
-
-
 def _key_count(fam_or_proto, recycle: bool) -> int:
     """Keys of the protocol on fam_or_proto; a family's are counted, not built."""
     if isinstance(fam_or_proto, HashFamily):
@@ -293,27 +276,51 @@ def _run_protocol(fam_or_proto, env: EnvStrategy, recycle: bool,
     return proto, list(proto.keys())
 
 
+def _y_groups(proto: AuthProtocol, keys: list, x) -> list[tuple[tuple, list]]:
+    """(y, the indices of the keys that send y on x) per wire message y, y ascending."""
+    by_y: dict[tuple, list] = defaultdict(list)
+    for i, key in enumerate(keys):
+        by_y[proto.encode(key, x)].append(i)
+    return sorted(by_y.items(), key=lambda item: outcome_sort_key(item[0]))
+
+
+def _deliveries(proto: AuthProtocol, env: EnvStrategy, keys: list) -> tuple[tuple, int, list]:
+    """The outcome fields, a denominator, and the deliveries of `env`.
+
+    A delivery is (outcome head, weight over the denominator, key indices,
+    wire delivered, ideal verdict), one per (x, y-group).  An injection is
+    one delivery to all keys, never unmodified, so the ideal receiver rejects it.
+    """
+    if env.mode == IMPERSONATION:
+        return FIELDS_IMP, 1, [((env.inject,), 1, range(len(keys)), env.inject, None)]
+    denom = lcm(*(px.denominator for px in env.msg_dist.weights.values()))
+    deliveries = []
+    for (x,), px in env.msg_dist.items():
+        proto.check_message(x)
+        w = px.numerator * (denom // px.denominator)
+        for y, idx in _y_groups(proto, keys, x):
+            yp = env.deliver(y)
+            deliveries.append(((x, y, yp), w, idx, yp, x if yp == y else None))
+    return FIELDS_SUB, denom, deliveries
+
+
+def _finish(counts: dict, denom: int, fields: tuple, proto: AuthProtocol) -> Dist:
+    """The Dist of `counts` over `denom`, with k1 (the last field) if recycled."""
+    d = Dist(fields, {o: Fraction(c, denom) for o, c in counts.items()})
+    return d if proto.recycles else d.project(fields[:-1])  # the declared marginalization
+
+
 def run_real(fam_or_proto, env: EnvStrategy, recycle: bool = False,
              budget: int = DEFAULT_BUDGET) -> Dist:
     """Exact outcome distribution of the real execution under `env`."""
     proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
-    unit = Fraction(1, len(keys))
-    acc: dict[tuple, Fraction] = defaultdict(Fraction)
-    if env.mode == SUBSTITUTION:
-        for (x,), px in env.msg_dist.items():
-            proto.check_message(x)
-            w = px * unit
-            for key in keys:
-                y = proto.encode(key, x)
-                yp = env.deliver(y)
-                out = proto.receive(key, yp)
-                acc[(x, y, yp, out, proto.recycled(key))] += w
-        return _finish(acc, ("x", "y", "yp", "out"), proto)
-    yp = env.inject
-    for key in keys:
-        out = proto.receive(key, yp)
-        acc[(yp, out, proto.recycled(key))] += unit
-    return _finish(acc, ("yp", "out"), proto)
+    fields, denom, deliveries = _deliveries(proto, env, keys)
+    counts: dict[tuple, int] = defaultdict(int)
+    for head, w, idx, yp, _ in deliveries:
+        group = [keys[i] for i in idx]
+        for key, out in zip(group, proto.verdicts(group, yp)):
+            counts[head + (out, proto.recycled(key))] += w
+    return _finish(counts, denom * len(keys), fields, proto)
 
 
 def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
@@ -326,27 +333,13 @@ def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
     uniformly, independent of the transcript.
     """
     proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
-    unit = Fraction(1, len(keys))
+    fields, denom, deliveries = _deliveries(proto, env, keys)
     rvals = list(proto.recycled_values()) if proto.recycles else [None]
-    runit = Fraction(1, len(rvals))
-    acc: dict[tuple, Fraction] = defaultdict(Fraction)
-    if env.mode == SUBSTITUTION:
-        for (x,), px in env.msg_dist.items():
-            proto.check_message(x)
-            ymarg: dict[tuple, int] = defaultdict(int)
-            for key in keys:
-                ymarg[proto.encode(key, x)] += 1
-            for y, cnt in ymarg.items():
-                yp = env.deliver(y)
-                out = x if yp == y else None
-                w = px * cnt * unit * runit
-                for k1 in rvals:
-                    acc[(x, y, yp, out, k1)] += w
-        return _finish(acc, ("x", "y", "yp", "out"), proto)
-    yp = env.inject
-    for k1 in rvals:
-        acc[(yp, None, k1)] += runit
-    return _finish(acc, ("yp", "out"), proto)
+    counts: dict[tuple, int] = defaultdict(int)
+    for head, w, idx, _, out0 in deliveries:
+        for k1 in rvals:
+            counts[head + (out0, k1)] += w * len(idx)
+    return _finish(counts, denom * len(keys) * len(rvals), fields, proto)
 
 
 def uc_distance(fam_or_proto, env: EnvStrategy, recycle: bool = False,
@@ -421,12 +414,6 @@ def _tv_numerator(agree: int, group: tuple[int, int, tuple], nr: int) -> int:
     return 2 * total
 
 
-def _recycling(proto: AuthProtocol, keys: list) -> tuple[list, int]:
-    """Each key's recycled value, and how many recycled values there are."""
-    nr = len(proto.recycled_values()) if proto.recycles else 1
-    return [proto.recycled(key) for key in keys], nr
-
-
 def _verified(proto: AuthProtocol, d: Fraction, env: EnvStrategy,
               budget: int) -> tuple[Fraction, EnvStrategy]:
     """Re-run a search's witness through run_real/run_ideal; raise on disagreement."""
@@ -435,6 +422,52 @@ def _verified(proto: AuthProtocol, d: Fraction, env: EnvStrategy,
         raise VerificationFailed(
             f"worst-case search found {d} but its witness runs at {check}")
     return d, env
+
+
+def _search(fam_or_proto, recycle: bool, budget: int, substitution: bool = True,
+            impersonation: bool = True) -> list[tuple[Fraction, EnvStrategy]]:
+    """The verified worst cases asked for, substitution first, from one pass.
+
+    One verdicts() call per wire value scores every y-group of every message
+    and, for impersonation, one more group of all keys that no wire reaches
+    unmodified.
+    """
+    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
+    rec = [proto.recycled(key) for key in keys]
+    nr = len(proto.recycled_values()) if proto.recycles else 1
+    groups = []  # (x, y, the group of keys sending y on x), y ascending per x
+    spans = []   # (x, its first group, the group after its last)
+    for x in proto.messages if substitution else ():
+        lo = len(groups)
+        groups.extend((x, y, _group(idx, rec, nr)) for y, idx in _y_groups(proto, keys, x))
+        spans.append((x, lo, len(groups)))
+    best = [0] * len(groups)  # identity is kept wherever no substitution gains
+    if impersonation:  # y = None is never delivered unmodified, so out0 = None
+        groups.append((None, None, _group(range(len(keys)), rec, nr)))
+        best.append(-1)
+    best_yp: list = [None] * len(groups)
+    for yp in wire:
+        verdicts = proto.verdicts(keys, yp)
+        rejected = _mask([v is None for v in verdicts])
+        for g, (x, y, group) in enumerate(groups):
+            # the ideal receiver outputs x on unmodified delivery, else None
+            agree = _mask([v == x for v in verdicts]) if yp == y else rejected
+            num = _tv_numerator(agree, group, nr)
+            if num > best[g]:
+                best[g], best_yp[g] = num, yp
+    best_total = best_env = None
+    for x, lo, hi in spans:
+        total = sum(best[lo:hi])
+        if best_total is None or total > best_total:
+            best_total = total
+            best_env = EnvStrategy.substitute(x, {
+                groups[g][1]: best_yp[g] for g in range(lo, hi) if best_yp[g] is not None})
+    found = [(best_total, best_env)] if substitution else []
+    if impersonation:
+        found.append((best[-1], EnvStrategy.impersonate(best_yp[-1])))
+    # group numerators share the denominator 2*|keys|*nr: P(y) = n/|keys|
+    denom = 2 * len(keys) * nr
+    return [_verified(proto, Fraction(num, denom), env, budget) for num, env in found]
 
 
 def worst_case_substitution(fam_or_proto, recycle: bool = False,
@@ -446,38 +479,7 @@ def worst_case_substitution(fam_or_proto, recycle: bool = False,
     nothing either (module docstring); the returned distance is recomputed
     from the witness via the ordinary run pipeline.
     """
-    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
-    rec, nr = _recycling(proto, keys)
-    groups = []  # (x, y, the group of keys sending y on x), y ascending per x
-    spans = []   # (x, its first group, the group after its last)
-    for x in proto.messages:
-        by_y: dict[tuple, list] = defaultdict(list)
-        for i, key in enumerate(keys):
-            by_y[proto.encode(key, x)].append(i)
-        lo = len(groups)
-        groups.extend((x, y, _group(by_y[y], rec, nr))
-                      for y in sorted(by_y, key=outcome_sort_key))
-        spans.append((x, lo, len(groups)))
-    best = [0] * len(groups)
-    best_yp: list = [None] * len(groups)
-    for yp in wire:
-        verdicts = proto.verdicts(keys, yp)
-        rejected = _mask([v is None for v in verdicts])
-        for g, (x, y, group) in enumerate(groups):
-            # the ideal receiver outputs x on unmodified delivery, else None
-            agree = _mask([v == x for v in verdicts]) if yp == y else rejected
-            num = _tv_numerator(agree, group, nr)
-            if num > best[g]:
-                best[g], best_yp[g] = num, yp
-    # group numerators share the denominator 2*|keys|*nr: P(y) = n/|keys|
-    best_total = best_env = None
-    for x, lo, hi in spans:
-        total = sum(best[lo:hi])
-        if best_total is None or total > best_total:
-            best_total = total
-            best_env = EnvStrategy.substitute(x, {
-                groups[g][1]: best_yp[g] for g in range(lo, hi) if best_yp[g] is not None})
-    return _verified(proto, Fraction(best_total, 2 * len(keys) * nr), best_env, budget)
+    return _search(fam_or_proto, recycle, budget, impersonation=False)[0]
 
 
 def worst_case_impersonation(fam_or_proto, recycle: bool = False,
@@ -487,26 +489,17 @@ def worst_case_impersonation(fam_or_proto, recycle: bool = False,
     The ideal receiver rejects every injection, so the kernel takes one group
     of all keys, with out0 = None.
     """
-    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
-    rec, nr = _recycling(proto, keys)
-    group = _group(range(len(keys)), rec, nr)
-    best, best_yp = -1, None
-    for yp in wire:
-        num = _tv_numerator(_mask([v is None for v in proto.verdicts(keys, yp)]), group, nr)
-        if num > best:
-            best, best_yp = num, yp
-    return _verified(proto, Fraction(best, 2 * len(keys) * nr),
-                     EnvStrategy.impersonate(best_yp), budget)
+    return _search(fam_or_proto, recycle, budget, substitution=False)[0]
 
 
 def worst_case_distance(fam_or_proto, recycle: bool = False,
                         budget: int = DEFAULT_BUDGET) -> tuple[Fraction, EnvStrategy]:
     """Maximum over substitution and impersonation environments.
 
-    Substitution wins ties so the richer witness is reported.
+    Both come from one pass over the wire values.  Substitution wins ties so
+    the richer witness is reported.
     """
-    d_sub, env_sub = worst_case_substitution(fam_or_proto, recycle, budget)
-    d_imp, env_imp = worst_case_impersonation(fam_or_proto, recycle, budget)
+    (d_sub, env_sub), (d_imp, env_imp) = _search(fam_or_proto, recycle, budget)
     if d_imp > d_sub:
         return d_imp, env_imp
     return d_sub, env_sub

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from recmac import (
-    LIST_ELIMINATION, EnvStrategy, HashFamily, MulFamily, TableFamily, WcProtocol,
+    LIST_ELIMINATION, Dist, EnvStrategy, HashFamily, MulFamily, TableFamily, WcProtocol,
     lift_to_asu2, outcome_sort_key,
 )
 
@@ -281,6 +281,73 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
             best_env = EnvStrategy.substitute(x, {
                 groups[g][1]: best_yp[g] for g in range(lo, hi) if best_yp[g] is not None})
     return Fraction(best_total, 2 * len(keys) * nr), best_env
+
+
+# -- run oracle -----------------------------------------------------------------
+#
+# run_real and run_ideal as they first stood in the library: each key adds its
+# own Fraction to its outcome, substitution and impersonation are separate
+# branches, and the real receiver is asked key by key through receive().  It
+# runs on the protocol interface alone (keys, encode, receive, recycled,
+# recycled_values, check_message) and skips the budget check.
+
+
+def finish_oracle(acc, nonrec_fields, proto) -> Dist:
+    d = Dist(nonrec_fields + ("k1",), acc)
+    if not proto.recycles:
+        d = d.project(nonrec_fields)  # the declared marginalization step
+    return d
+
+
+def run_oracle(target, env: EnvStrategy, recycle: bool) -> tuple[Dist, Dist]:
+    """(real, ideal) outcome distributions of `env` on a family or protocol."""
+    proto = WcProtocol(target, recycle) if isinstance(target, HashFamily) else target
+    keys = list(proto.keys())
+    return real_oracle(proto, keys, env), ideal_oracle(proto, keys, env)
+
+
+def real_oracle(proto, keys, env) -> Dist:
+    unit = Fraction(1, len(keys))
+    acc: dict[tuple, Fraction] = defaultdict(Fraction)
+    if env.mode == "substitution":
+        for (x,), px in env.msg_dist.items():
+            proto.check_message(x)
+            w = px * unit
+            for key in keys:
+                y = proto.encode(key, x)
+                yp = env.deliver(y)
+                out = proto.receive(key, yp)
+                acc[(x, y, yp, out, proto.recycled(key))] += w
+        return finish_oracle(acc, ("x", "y", "yp", "out"), proto)
+    yp = env.inject
+    for key in keys:
+        out = proto.receive(key, yp)
+        acc[(yp, out, proto.recycled(key))] += unit
+    return finish_oracle(acc, ("yp", "out"), proto)
+
+
+def ideal_oracle(proto, keys, env) -> Dist:
+    unit = Fraction(1, len(keys))
+    rvals = list(proto.recycled_values()) if proto.recycles else [None]
+    runit = Fraction(1, len(rvals))
+    acc: dict[tuple, Fraction] = defaultdict(Fraction)
+    if env.mode == "substitution":
+        for (x,), px in env.msg_dist.items():
+            proto.check_message(x)
+            ymarg: dict[tuple, int] = defaultdict(int)
+            for key in keys:
+                ymarg[proto.encode(key, x)] += 1
+            for y, cnt in ymarg.items():
+                yp = env.deliver(y)
+                out = x if yp == y else None
+                w = px * cnt * unit * runit
+                for k1 in rvals:
+                    acc[(x, y, yp, out, k1)] += w
+        return finish_oracle(acc, ("x", "y", "yp", "out"), proto)
+    yp = env.inject
+    for k1 in rvals:
+        acc[(yp, None, k1)] += runit
+    return finish_oracle(acc, ("yp", "out"), proto)
 
 
 # -- composition oracle -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact distribution container and total variation distance."""
 
+from collections import defaultdict
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +18,13 @@ def test_construction_validates():
         Dist(("a", "b"), {(0,): F(1)})                   # arity mismatch
     with pytest.raises(ValueError):
         Dist(("a",), {0: F(1)})                          # not a tuple
+    with pytest.raises(ValueError):
+        Dist(("a",), {(0,): F(1, 2), (1,): F(1, 2) + F(1, 2 ** 60)})   # off by 2^-60
+    # mixed denominators, ints and floats are summed exactly
+    mixed = Dist(("a",), {(0,): 0.5, (1,): F(1, 3), (2,): F(1, 6), (3,): 0})
+    assert mixed.weights == {(0,): F(1, 2), (1,): F(1, 3), (2,): F(1, 6)}
+    assert Dist(("a",), {(0,): 1}).p((0,)) == 1
+    assert Dist(("a",), {(0,): 0.25, (1,): F(3, 4)}).p((0,)) == F(1, 4)
 
 
 def test_zero_weights_dropped():
@@ -50,7 +58,18 @@ def test_outcome_sort_key_total_order():
         outcome_sort_key(1.5)
 
 
-def test_project():
+@st.composite
+def small_dist(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    raw = [draw(st.integers(min_value=0, max_value=8)) for _ in range(n)]
+    if sum(raw) == 0:
+        raw[0] = 1
+    total = sum(raw)
+    return Dist(("v",), {(i,): F(w, total) for i, w in enumerate(raw) if w})
+
+
+@given(small_dist())
+def test_project(e):
     d = Dist(("x", "y", "z"), {
         (0, "a", 1): F(1, 4),
         (0, "b", 1): F(1, 4),
@@ -64,6 +83,13 @@ def test_project():
     assert d.project(("x", "y", "z")) == d
     with pytest.raises(SchemaMismatch):
         d.project(("w",))
+    # over mixed denominators, a projection is the naive Fraction sum
+    joint = Dist(("v", "parity"), {(v, v % 2): w for (v,), w in e.items()})
+    naive = defaultdict(F)
+    for (v, parity), w in joint.items():
+        naive[(parity,)] += w
+    assert joint.project(("parity",)).weights == naive
+    assert joint.project(("parity", "v")).weights == {(p, v): w for (v, p), w in joint.items()}
 
 
 def test_statistical_distance_basics():
@@ -76,16 +102,6 @@ def test_statistical_distance_basics():
     assert statistical_distance(c, a) == F(1, 2)
     with pytest.raises(SchemaMismatch):
         statistical_distance(a, Dist.point(("w",), (0,)))
-
-
-@st.composite
-def small_dist(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    raw = [draw(st.integers(min_value=0, max_value=8)) for _ in range(n)]
-    if sum(raw) == 0:
-        raw[0] = 1
-    total = sum(raw)
-    return Dist(("v",), {(i,): F(w, total) for i, w in enumerate(raw) if w})
 
 
 @given(small_dist(), small_dist(), small_dist())

@@ -58,7 +58,8 @@ def test_only_main_parses_the_family_and_picks_the_format():
 
 
 # the worst-case searches count keys by bitmasks: no Counter in ucsim, and the
-# numerator and its popcounts come from the one kernel
+# numerator and its popcounts come from the one kernel, called from the one
+# private search that all three public searches wrap
 UCSIM = Path(recmac.__file__).parent / "ucsim.py"
 
 
@@ -85,6 +86,23 @@ def test_ucsim_builds_no_counter():
 def test_both_searches_count_through_the_one_kernel():
     found = calls_by_function(UCSIM)
     callers = {name for name, calls in found.items() if "_tv_numerator" in calls}
-    assert callers == {"worst_case_substitution", "worst_case_impersonation"}
+    assert callers == {"_search"}
+    searches = {name for name, calls in found.items() if "_search" in calls}
+    assert searches == {"worst_case_substitution", "worst_case_impersonation",
+                        "worst_case_distance"}
     popcounts = {name for name, calls in found.items() if "bit_count" in calls}
     assert popcounts == {"_tv_numerator", "_group"}
+
+
+def test_only_the_default_verdicts_calls_receive():
+    # every run and search asks verdicts() for a whole key group, so a
+    # protocol's one wire check is the only way to its receiver
+    tree = ast.parse(UCSIM.read_text(encoding="utf-8"))
+    owner = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for fn in cls.body
+             if isinstance(fn, ast.FunctionDef)}
+    callers = {owner.get(fn, fn.name) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) for c in ast.walk(fn)
+               if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+               and c.func.attr == "receive"}
+    assert callers == {"AuthProtocol.verdicts"}

@@ -42,7 +42,7 @@ from recmac import (
 from recmac import ucsim
 from recmac.ucsim import FIELDS_IMP, FIELDS_SUB, as_protocol
 
-from conftest import impersonation_tv_oracle, substitution_tv_oracle
+from conftest import impersonation_tv_oracle, run_oracle, substitution_tv_oracle
 
 
 def all_wires(fam):
@@ -231,10 +231,10 @@ def test_counterexample_protocol_distances():
 
 
 @st.composite
-def small_tables(draw):
+def small_tables(draw, min_messages=1):
     """TableFamily with at most 4 keys, 3 messages and 2-bit tags."""
     m = draw(st.integers(1, 2))
-    nx = draw(st.integers(1, 3))
+    nx = draw(st.integers(min_messages, 3))
     kc = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=nx, max_size=nx),
                          min_size=kc, max_size=kc))
@@ -317,11 +317,83 @@ def test_counterexample_substitution_search_is_maximum_over_every_map(m):
 
 
 def test_searches_raise_when_the_witness_rerun_disagrees(monkeypatch):
+    rerun = ucsim.uc_distance
     monkeypatch.setattr(ucsim, "uc_distance", lambda *args, **kwargs: F(7, 3))
     with pytest.raises(VerificationFailed):
         worst_case_substitution(MulFamily(2), recycle=True)
     with pytest.raises(VerificationFailed):
         worst_case_impersonation(MulFamily(2), recycle=True)
+    # worst_case_distance re-runs both witnesses: either one disagreeing raises
+    for mode in ("substitution", "impersonation"):
+        def disagree_on(proto, env, mode=mode, **kwargs):
+            return F(7, 3) if env.mode == mode else rerun(proto, env, **kwargs)
+
+        monkeypatch.setattr(ucsim, "uc_distance", disagree_on)
+        with pytest.raises(VerificationFailed, match="runs at 7/3"):
+            worst_case_distance(MulFamily(2), recycle=True)
+
+
+def test_worst_case_distance_makes_one_verdicts_pass(monkeypatch):
+    # toeplitz:n=4,m=3 has 16 messages and 8 tags: 128 wire values, and both
+    # witnesses are re-run once each
+    fam = ToeplitzFamily(4, 3)
+    verdicts, rerun = WcProtocol.verdicts, ucsim.uc_distance
+    seen = {"verdicts": 0, "reruns": 0}
+    in_rerun = []
+
+    def counted_verdicts(self, keys, wire):
+        if not in_rerun:
+            seen["verdicts"] += 1
+        return verdicts(self, keys, wire)
+
+    def counted_rerun(*args, **kwargs):
+        seen["reruns"] += 1
+        in_rerun.append(True)
+        try:
+            return rerun(*args, **kwargs)
+        finally:
+            in_rerun.pop()
+
+    monkeypatch.setattr(WcProtocol, "verdicts", counted_verdicts)
+    monkeypatch.setattr(ucsim, "uc_distance", counted_rerun)
+    d, _ = worst_case_distance(fam, recycle=True)
+    assert d == F(1, 8)
+    assert seen == {"verdicts": 128, "reruns": 2}
+    assert len(fam.messages) * fam.tag_count == 128
+
+
+# -- the runs against the per-key Fraction oracle ----------------------------------
+
+MSG_WEIGHTS = [(F(1),), (F(1, 2), F(1, 2)), (F(1, 2), F(1, 3), F(1, 6))]
+
+
+@st.composite
+def run_cases(draw):
+    """(target, recycle, env): an injection of any wire value, or a substitution
+    on a point or mixed message distribution with any map over the wire values."""
+    weights = draw(st.sampled_from(MSG_WEIGHTS))
+    targets = small_tables(min_messages=len(weights))
+    if len(weights) <= 2:
+        targets |= st.sampled_from([CounterexampleProtocol(1), CounterexampleProtocol(2)])
+    target, recycle = draw(targets), draw(st.booleans())
+    proto = as_protocol(target, recycle)
+    wires = proto.wire_values()
+    if draw(st.booleans()):
+        return target, recycle, EnvStrategy.impersonate(draw(st.sampled_from(wires)))
+    xs = draw(st.permutations(list(proto.messages)))[:len(weights)]
+    subst = draw(st.dictionaries(st.sampled_from(wires), st.sampled_from(wires), max_size=6))
+    return target, recycle, EnvStrategy.substitute(dict(zip(xs, weights)), subst)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=run_cases())
+def test_runs_equal_the_per_key_oracle(case):
+    target, recycle, env = case
+    real, ideal = run_oracle(target, env, recycle)
+    for got, want in ((run_real(target, env, recycle), real),
+                      (run_ideal(target, env, recycle), ideal)):
+        assert got.fields == want.fields
+        assert got.weights == want.weights
 
 
 def test_standard_mode_bounded_by_asu2(table16):
