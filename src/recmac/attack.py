@@ -288,11 +288,9 @@ def success_recurrence(fam: HashFamily, l_max: int,
     return _conditionals(counts, fam.key_count, l_max + 1)
 
 
-def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random,
-                      x=None, x_sub=None) -> Transcript:
+def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Transcript:
     """One honestly simulated attack run: fresh pads, real verify calls."""
-    if x is None or x_sub is None:
-        x, x_sub = _attack_pair(fam)
+    x, x_sub = _attack_pair(fam)
     k1 = rng.randrange(fam.key_count)
     pads = tuple(rng.randrange(fam.tag_count) for _ in range(rounds))
     ks = KeyStream(k1, pads, fam.tag_bits)

@@ -141,16 +141,11 @@ def cmd_uc_distance(args, fam):
 
 
 def _parse_wire(fam, text: str):
-    parts = text.split(",")
     try:
-        ints = [int(p) for p in parts]
+        v, t = map(int, text.split(","))
     except ValueError:
-        raise DomainError(f"--inject must be comma-separated integers, got {text!r}") from None
-    if len(ints) < 2:
-        raise DomainError("--inject needs a message part and a tag")
-    *msg, t = ints
-    x = fam.message_from_int(msg[0]) if len(msg) == 1 else tuple(msg)
-    return (x, t)
+        raise DomainError(f"--inject must be 'msgint,tag', got {text!r}") from None
+    return (fam.message_from_int(v), t)
 
 
 def cmd_impersonate(args, fam):
@@ -332,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lift", action="store_true",
                     help="in standard mode, run on the pad-keyed lift")
     sp.add_argument("--inject", default=None,
-                    help="wire message as 'msgint,tag'; omit to search the worst case")
+                    help="wire message as 'msgint,tag', msgint being the message's "
+                         "index in the family; omit to search the worst case")
     sp.set_defaults(handler=cmd_impersonate)
 
     sp = sub.add_parser("attack", help="per-round key-elimination attack accounting")

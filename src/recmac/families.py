@@ -19,6 +19,12 @@ Families:
                  substitution resistance coexists with trivial forgeability
                  of the all-zero tagged message.
 
+Messages are numbered by their position in `messages`; that index is a
+message's integer on the wire, encoded and decoded by HashFamily alone.
+Mul, Toeplitz and Counterexample messages are the integers themselves, and
+Poly's L-tuples come in product order, so the index packs the blocks
+big-endian, m bits each.
+
 Mul, Poly and Toeplitz are XOR-linear in the message: h_k(x1) ^ h_k(x2) =
 h_k(x1 ^ x2).  The `xor_linear` flag records that structural fact; measure.py
 uses it to collapse pair enumerations to difference enumerations without
@@ -103,13 +109,14 @@ class HashFamily:
     # -- wire encoding of messages ------------------------------------------
 
     def message_to_int(self, x) -> int:
-        """Messages as integers of message_bits bits, for the wire format."""
-        return x
+        """The wire integer of message x: its index in `messages`."""
+        return self.message_index(x)
 
     def message_from_int(self, v: int):
-        if not 0 <= v < (1 << self.message_bits):
-            raise DomainError(f"{v} does not fit in {self.message_bits} message bits")
-        return v
+        if not 0 <= v < len(self.messages):
+            raise DomainError(
+                f"message {v} out of range 0..{len(self.messages) - 1} for {self.descriptor()}")
+        return self.messages[v]
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -121,9 +128,9 @@ class HashFamily:
 class MulFamily(HashFamily):
     """h_k(x) = k*x in GF(2^m); zero message and zero key allowed."""
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         super().__init__()
-        self.field = FieldCtx(m, modulus)
+        self.field = FieldCtx(m)
         self.tag_bits = m
         self.message_bits = m
         self.key_count = self.field.order
@@ -145,7 +152,7 @@ class PolyFamily(HashFamily):
     roots, giving the L/2^m two-key collision bound that measure.py checks.
     """
 
-    def __init__(self, m: int, length: int, modulus: int | None = None):
+    def __init__(self, m: int, length: int):
         super().__init__()
         if length < 1:
             raise DomainError("poly family needs at least one block")
@@ -153,7 +160,7 @@ class PolyFamily(HashFamily):
             raise BudgetExceeded(
                 f"poly message space 2^{m * length} is too large to enumerate"
             )
-        self.field = FieldCtx(m, modulus)
+        self.field = FieldCtx(m)
         self.length = length
         self.tag_bits = m
         self.message_bits = m * length
@@ -169,21 +176,6 @@ class PolyFamily(HashFamily):
             kp = f.mul(kp, k)
             acc ^= f.mul(block, kp)
         return acc
-
-    def message_to_int(self, x: tuple) -> int:
-        v = 0
-        for block in x:
-            v = (v << self.tag_bits) | block
-        return v
-
-    def message_from_int(self, v: int) -> tuple:
-        if not 0 <= v < (1 << self.message_bits):
-            raise DomainError(f"{v} does not fit in {self.message_bits} message bits")
-        mask = self.tag_count - 1
-        blocks = []
-        for i in range(self.length):
-            blocks.append((v >> (self.tag_bits * (self.length - 1 - i))) & mask)
-        return tuple(blocks)
 
     def descriptor(self) -> str:
         return f"poly:m={self.tag_bits},L={self.length}"
@@ -234,13 +226,13 @@ class TableFamily(HashFamily):
     def __init__(self, messages: Sequence, table: Sequence[Sequence[int]],
                  m: int | None = None, source: str = "inline"):
         super().__init__()
-        messages = list(messages)
-        if not messages:
-            raise DomainError("table family needs at least one message")
-        try:
-            distinct = len(set(map(self._freeze, messages)))
+        try:  # a JSON list becomes a tuple, so that every message is hashable
+            messages = [tuple(x) if isinstance(x, list) else x for x in messages]
+            distinct = len(set(messages))
         except TypeError:
             raise DomainError("table family messages must be numbers, strings or lists") from None
+        if not messages:
+            raise DomainError("table family needs at least one message")
         if distinct != len(messages):
             raise DomainError("table family messages must be distinct")
         try:
@@ -273,17 +265,13 @@ class TableFamily(HashFamily):
         self._rows = rows
         self._source = source
 
-    @staticmethod
-    def _freeze(x):
-        return tuple(x) if isinstance(x, list) else x
-
     @classmethod
     def from_json(cls, path: str) -> "TableFamily":
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
             keys = doc["keys"]
-            messages = [cls._freeze(x) for x in doc["messages"]]
+            messages = doc["messages"]
             table = doc["table"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed table file {path}: {exc}") from None
@@ -295,14 +283,6 @@ class TableFamily(HashFamily):
 
     def _tag(self, k: int, x) -> int:
         return self._rows[k][self.message_index(x)]
-
-    def message_to_int(self, x) -> int:
-        return self.message_index(x)
-
-    def message_from_int(self, v: int):
-        if not 0 <= v < len(self.messages):
-            raise DomainError(f"message index {v} out of range")
-        return self.messages[v]
 
     def descriptor(self) -> str:
         return f"table:{self._source}"
@@ -357,12 +337,6 @@ class LiftedFamily(HashFamily):
     def _tag(self, k: int, x) -> int:
         k1, k2 = divmod(k, self.tag_count)
         return self.base._tag(k1, x) ^ k2
-
-    def message_to_int(self, x) -> int:
-        return self.base.message_to_int(x)
-
-    def message_from_int(self, v: int):
-        return self.base.message_from_int(v)
 
     def descriptor(self) -> str:
         return f"lift({self.base.descriptor()})"

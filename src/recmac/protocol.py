@@ -94,7 +94,7 @@ def _byte_len(bits: int) -> int:
 
 
 def pack_tagged(fam: HashFamily, ym: TaggedMessage) -> bytes:
-    """Wire form: message bits, then tag bits, each big-endian byte-padded."""
+    """Wire form: the message's index, then the tag, each big-endian byte-padded."""
     xv = fam.message_to_int(ym.x)
     if not 0 <= ym.t < fam.tag_count:
         raise DomainError(f"tag {ym.t!r} out of range for {fam.descriptor()}")

@@ -12,8 +12,8 @@ resulting outcome distributions, maximized over environments.
 
 Outcome fields are (x, y, yp, out, k1) for substitution environments and
 (yp, out, k1) for impersonation environments (which inject a wire message
-before any round ran).  In no-recycling mode the k1 column is dropped from
-the returned distribution by an explicit projection.
+before any round ran).  In no-recycling mode the outcomes are counted
+without the k1 column, which would always be None.
 
 The worst-case search exploits a structural fact instead of enumerating all
 |X*T|^|T| substitution maps: both worlds give y the same marginal, and the
@@ -269,10 +269,17 @@ def _key_count(fam_or_proto, recycle: bool) -> int:
 
 def _run_protocol(fam_or_proto, env: EnvStrategy, recycle: bool,
                   budget: int) -> tuple[AuthProtocol, list]:
-    """The protocol a run executes on and its keys, built once the run is admitted."""
+    """The protocol a run executes on and its keys, built once the run is admitted.
+
+    On a family the work counted includes the K x |X| tag table, cached or
+    not, so whether a run is refused never depends on an earlier call.
+    """
     support = 1 if env.mode == IMPERSONATION else len(env.msg_dist.weights)
-    check_budget(support * _key_count(fam_or_proto, recycle), budget, "run")
-    proto = as_protocol(fam_or_proto, recycle)
+    work = support * _key_count(fam_or_proto, recycle)
+    if isinstance(fam_or_proto, HashFamily):
+        work += fam_or_proto.key_count * len(fam_or_proto.messages)
+    check_budget(work, budget, "run")
+    proto = as_protocol(fam_or_proto, recycle, budget)
     return proto, list(proto.keys())
 
 
@@ -306,8 +313,8 @@ def _deliveries(proto: AuthProtocol, env: EnvStrategy, keys: list) -> tuple[tupl
 
 def _finish(counts: dict, denom: int, fields: tuple, proto: AuthProtocol) -> Dist:
     """The Dist of `counts` over `denom`, with k1 (the last field) if recycled."""
-    d = Dist(fields, {o: Fraction(c, denom) for o, c in counts.items()})
-    return d if proto.recycles else d.project(fields[:-1])  # the declared marginalization
+    n = len(fields) - (not proto.recycles)  # without recycling k1 is always None
+    return Dist(fields[:n], {o[:n]: Fraction(c, denom) for o, c in counts.items()})
 
 
 def run_real(fam_or_proto, env: EnvStrategy, recycle: bool = False,

@@ -189,6 +189,13 @@ def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("inject", ["3,1,2", "1", "-1,0", "16,0"])
+def test_inject_takes_only_a_message_index_and_a_tag(capsys, inject):
+    # a message is named on the wire by its index, never by its blocks
+    assert run_main("impersonate", "--family", "poly:m=2,L=2", f"--inject={inject}") == 2
+    assert one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["uc-distance", "impersonate"])
 def test_lift_with_recycle_is_a_usage_error(capsys, command):
     assert run_main(command, "--family", "mul:m=2", "--recycle", "--lift") == 2

@@ -139,13 +139,14 @@ def test_tag_validation():
 
 def test_message_wire_roundtrip():
     for fam in (MulFamily(3), PolyFamily(3, 2), ToeplitzFamily(4, 2),
-                CounterexampleFamily(2)):
-        for x in fam.messages:
-            v = fam.message_to_int(x)
-            assert 0 <= v < (1 << fam.message_bits)
-            assert fam.message_from_int(v) == x
-        with pytest.raises(DomainError):
-            fam.message_from_int(1 << fam.message_bits)
+                CounterexampleFamily(2), TableFamily(["a", [1, 2], 3], [[0, 1, 2]]),
+                lift_to_asu2(PolyFamily(2, 2))):
+        for i, x in enumerate(fam.messages):
+            assert fam.message_to_int(x) == i < (1 << fam.message_bits)
+            assert fam.message_from_int(i) == x
+        for v in (-1, len(fam.messages)):
+            with pytest.raises(DomainError, match="out of range"):
+                fam.message_from_int(v)
 
 
 def test_poly_block_packing_frozen():
@@ -207,6 +208,15 @@ def test_table_family_rejects_unhashable_messages():
         TableFamily([{}, 1], [[0, 1]])
     with pytest.raises(DomainError):
         TableFamily([[1, [2]], 1], [[0, 1]])
+
+
+def test_table_family_messages_are_hashable():
+    fam = TableFamily([[1, 2], [3]], [[0, 1]])
+    assert list(fam.messages) == [(1, 2), (3,)]
+    assert fam.tag(0, (1, 2)) == 0 and fam.tag(0, (3,)) == 1
+    assert fam.message_to_int((3,)) == 1
+    with pytest.raises(DomainError):
+        fam.tag(0, [1, 2])   # a list is no message, only its tuple is
 
 
 def test_table_family_wire_is_index():

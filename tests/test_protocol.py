@@ -112,6 +112,17 @@ def test_unpack_validates():
         pack_tagged(fam, TaggedMessage(0, 4))
 
 
+@pytest.mark.parametrize("fam, x", [
+    (MulFamily(2), 5), (MulFamily(2), 300), (PolyFamily(2, 2), (9, 0)),
+    (PolyFamily(2, 2), (1, 2, 3)), (ToeplitzFamily(4, 3), -1), (CounterexampleFamily(2), 2),
+    (TableFamily(["a", "b"], [[0, 1]]), "c"), (lift_to_asu2(MulFamily(2)), 4),
+], ids=["mul-5", "mul-300", "poly-block", "poly-length", "toeplitz-negative",
+        "counterexample", "table", "lift"])
+def test_pack_refuses_a_non_message(fam, x):
+    with pytest.raises(DomainError):
+        pack_tagged(fam, TaggedMessage(x, 0))
+
+
 WIRE_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(9), PolyFamily(4, 2), PolyFamily(3, 3),
                  ToeplitzFamily(4, 3), ToeplitzFamily(9, 2), CounterexampleFamily(2),
                  lift_to_asu2(MulFamily(2)), TableFamily(["a", [1, 2], 3], [[0, 1, 2]])]

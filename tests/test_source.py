@@ -106,3 +106,17 @@ def test_only_the_default_verdicts_calls_receive():
                if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
                and c.func.attr == "receive"}
     assert callers == {"AuthProtocol.verdicts"}
+
+
+def test_only_the_base_family_encodes_messages():
+    # a message's wire integer is its index in `messages`, for every family
+    defined = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        defined |= {(path.name, owner.get(fn), fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and fn.name in ("message_to_int", "message_from_int")}
+    assert defined == {("families.py", "HashFamily", "message_to_int"),
+                       ("families.py", "HashFamily", "message_from_int")}

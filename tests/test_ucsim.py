@@ -492,20 +492,20 @@ def test_refused_search_builds_nothing():
 
 
 def test_run_budget_threshold_is_the_cell_count():
-    # |message support| * |keys|: two messages on mul:m=2 are 2 * 16 cells
-    # recycled and 2 * 4 without a pad, an injection on the counterexample
-    # protocol 1 * 6
+    # |message support| * |keys|, plus the 4 x 4 tag table on a family: two
+    # messages on mul:m=2 are 2 * 16 + 16 cells recycled and 2 * 4 + 16
+    # without a pad, an injection on the counterexample protocol 1 * 6
     two = EnvStrategy.substitute({0: F(1, 2), 1: F(1, 2)}, {(0, 0): (1, 0)})
     for target, recycle, env, work in (
-            (MulFamily(2), True, two, 32), (MulFamily(2), False, two, 8),
+            (MulFamily(2), True, two, 48), (MulFamily(2), False, two, 24),
             (CounterexampleProtocol(2), False, EnvStrategy.impersonate((0, 0)), 6)):
         for run in (run_real, run_ideal, uc_distance):
             run(target, env, recycle=recycle, budget=work)
             with pytest.raises(BudgetExceeded, match=f"run needs {work} cells"):
                 run(target, env, recycle=recycle, budget=work - 1)
-    assert impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=16) == F(1, 4)
-    with pytest.raises(BudgetExceeded, match="run needs 16 cells"):
-        impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=15)
+    assert impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=32) == F(1, 4)
+    with pytest.raises(BudgetExceeded, match="run needs 32 cells"):
+        impersonation_distance(MulFamily(2), (1, 2), recycle=True, budget=31)
 
 
 def test_refused_run_builds_nothing():
@@ -518,6 +518,23 @@ def test_refused_run_builds_nothing():
     with pytest.raises(BudgetExceeded, match="run needs"):
         impersonation_distance(fam, (0, 0), recycle=True, budget=10)
     assert fam._table is None
+    # 2^13 keys fit the budget, but the 2^13 x 2^7 tag table does not
+    with pytest.raises(BudgetExceeded, match="run needs"):
+        run_real(fam, env, recycle=False, budget=2**13)
+    assert fam._table is None
+
+
+def test_a_run_builds_each_dist_once(monkeypatch):
+    # without recycling a run counts its outcomes without k1, so no Dist is
+    # built only to be projected: two witness re-runs of two worlds each, and
+    # the substitution witness's point message distribution
+    built = []
+    init, project = Dist.__init__, Dist.project
+    monkeypatch.setattr(Dist, "__init__", lambda self, *a: built.append("init") or init(self, *a))
+    monkeypatch.setattr(Dist, "project",
+                        lambda self, *a: built.append("project") or project(self, *a))
+    worst_case_distance(lift_to_asu2(MulFamily(3)))
+    assert built == ["init"] * 5
 
 
 def test_schema_mismatch_between_modes():
