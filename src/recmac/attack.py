@@ -7,10 +7,12 @@ when c_i equals the key's hash difference c(k1) = h_{k1}(x) ^ h_{k1}(x_sub);
 a rejection eliminates one candidate for good.  The one-time pads cancel out
 of every acceptance event, so the exact engine enumerates k1 only and
 integrates the pads away analytically.  The Monte Carlo engine keeps the pads
-explicit: per trial it draws k1 and one pad per round, evaluates h_{k1} on x
-and x_sub once, and plays the rounds on the masked tags.  It draws what
-sample_transcript draws, which runs every round through authenticate and
-verify, and the tests hold the two to the same hit count on every seed.
+explicit: per trial it draws k1 and one pad per round, and plays the rounds
+on the masked tags; h_{k1} is evaluated on x and x_sub once per distinct key
+drawn.  It draws what sample_transcript draws, bit for bit as randrange
+would, straight from getrandbits.  sample_transcript itself calls randrange
+and runs every round through authenticate and verify, and the tests hold
+the two to the same hit count on every seed.
 
 For a family whose two-point XOR bound is exactly 1/|T| the difference
 c(k1) is uniform over the tag space, which pins everything down:
@@ -265,9 +267,12 @@ def _posterior_entropy(fam: HashFamily, counts: list[int],
     tc = fam.tag_count
     computed = ExactEntropy()
     # A transcript class of c keys has a uniform posterior: entropy log2(c).
-    for c in [*counts[:rounds], nk - sum(counts[:rounds])]:
+    # Classes of equal size are summed once, as entropy_of sums equal masses.
+    sizes = Counter(counts[:rounds])
+    sizes[nk - sum(counts[:rounds])] += 1
+    for c, mult in sizes.items():
         if c:
-            computed = computed + ExactEntropy.log2(c).scaled(Fraction(c, nk))
+            computed = computed + ExactEntropy.log2(c).scaled(Fraction(c * mult, nk))
     kt = Fraction(nk, tc)
     formula = ExactEntropy.log2(kt)
     if rounds < tc:
@@ -282,10 +287,9 @@ def success_recurrence(fam: HashFamily, l_max: int,
     Requires l_max <= |T| - 1 so the conditioning event has positive
     probability throughout.
     """
-    counts = _difference_counts(fam, budget)
     if not 0 <= l_max <= fam.tag_count - 1:
         raise DomainError(f"l_max must be in 0..{fam.tag_count - 1}")
-    return _conditionals(counts, fam.key_count, l_max + 1)
+    return _conditionals(_difference_counts(fam, budget), fam.key_count, l_max + 1)
 
 
 def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Transcript:
@@ -313,30 +317,43 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     """Simulate the attack with pseudorandom keys and pads.
 
     A cross-check of the exact engine that keeps the pads explicit.  Each
-    trial draws k1 and then one pad per round, as sample_transcript does, so
-    a seed gives the hits of that many sample_transcript runs on
-    random.Random(seed).  k1 is fixed within a trial, so h_{k1} is evaluated
-    once per trial; round i sends t = h_{k1}(x) ^ pad and the forgery
+    trial draws k1 and then all of its pads, one per round, as
+    sample_transcript does, bit for bit as random.Random.randrange draws
+    them, so a seed gives the hits of that many sample_transcript runs on
+    random.Random(seed).  h_{k1}(x) and h_{k1}(x_sub) are evaluated once per
+    distinct k1 drawn; round i sends t = h_{k1}(x) ^ pad and the forgery
     (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i.  Each round
-    of each trial is a cell of the budget.
+    of each trial is a cell of the budget; the key cache holds at most
+    min(trials, |K|) entries, so those cells bound memory as well as time.
     """
     _check_rounds(fam, rounds)
     if trials < 1:
         raise DomainError("need at least one trial")
     check_budget(trials * rounds, budget, "Monte Carlo attack")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     x, x_sub = _attack_pair(fam)
     kc, tc = fam.key_count, fam.tag_count
+    kbits, tbits = kc.bit_length(), tc.bit_length()
+    hashes: dict[int, tuple[int, int]] = {}
     hits = 0
     for _ in range(trials):
-        k1 = rng.randrange(kc)
-        pads = [rng.randrange(tc) for _ in range(rounds)]
-        hx, hs = fam.tag(k1, x), fam.tag(k1, x_sub)
-        for i, pad in enumerate(pads):
+        # randrange(n) is Random._randbelow_with_getrandbits(n): redraw while >= n
+        k1 = getrandbits(kbits)
+        while k1 >= kc:
+            k1 = getrandbits(kbits)
+        if k1 not in hashes:
+            hashes[k1] = fam.tag(k1, x), fam.tag(k1, x_sub)
+        hx, hs = hashes[k1]
+        # every pad is drawn, after a hit too: sample_transcript draws them up front
+        hit = False
+        for i in range(rounds):
+            pad = getrandbits(tbits)
+            while pad >= tc:
+                pad = getrandbits(tbits)
             t = hx ^ pad
-            if hs ^ pad == t ^ i:
-                hits += 1
-                break
+            if not hit and hs ^ pad == t ^ i:
+                hit = True
+        hits += hit
     rate = Fraction(hits, trials)
     expected = Fraction(rounds, tc)
     p = float(rate)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,10 @@ def test_success_recurrence_closed_form():
         assert list(rec) == [eps / (1 - l * eps) for l in range(fam.tag_count)]
     with pytest.raises(DomainError):
         success_recurrence(MulFamily(2), 4)
+    with pytest.raises(DomainError, match="l_max"):
+        success_recurrence(MulFamily(2), 4, budget=1)   # checked before the budget
+    with pytest.raises(BudgetExceeded):
+        success_recurrence(MulFamily(2), 3, budget=1)
 
 
 def test_requires_uniform_difference():
@@ -177,6 +182,24 @@ def test_entropy_of_equals_per_term_sum(raw):
 
 
 # -- posterior entropy ----------------------------------------------------------
+
+
+@settings(max_examples=80)
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10),
+       st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=4))
+def test_grouped_class_entropy_equals_per_term_sum(counts, rounds, spare):
+    # _posterior_entropy sums classes of equal size once; unique factorization
+    # makes that the same value as one term per transcript class
+    rounds = min(rounds, len(counts))
+    nk = sum(counts) + spare
+    if nk == 0:
+        return
+    fam = SimpleNamespace(key_count=nk, tag_count=len(counts))
+    want = ExactEntropy()
+    for c in [*counts[:rounds], nk - sum(counts[:rounds])]:
+        if c:
+            want = want + ExactEntropy.log2(c).scaled(F(c, nk))
+    assert attack._posterior_entropy(fam, counts, rounds)[0] == want
 
 
 def entropy_oracle(fam, rounds):
@@ -313,6 +336,20 @@ def test_montecarlo_matches_exact_engine_loosely():
     assert abs(float(mc.rate) - p) <= 3 * sigma
 
 
+def transcript_hits(fam, rounds, trials, seed):
+    rng = random.Random(seed)
+    return sum(any(r.accepted for r in sample_transcript(fam, rounds, rng).rounds)
+               for _ in range(trials))
+
+
+# 7 keys and a 5-key table: key counts that are not powers of two, so the k1
+# draw is rejected and redrawn as often as the pads are
+MC_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(3), CounterexampleFamily(3),
+               TableFamily(["a", "b", "c"],
+                           [[0, 1, 2], [1, 3, 0], [2, 2, 1], [3, 0, 3], [1, 1, 2]]),
+               build_table16()]
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("fam", [MulFamily(2), MulFamily(3), build_table16()],
                          ids=lambda f: f.descriptor())
@@ -321,10 +358,39 @@ def test_montecarlo_hits_match_sample_transcript(fam, seed):
     # of the per-trial engine replays one protocol-path transcript.
     trials = 400
     for rounds in sorted({1, 2, fam.tag_count - 1, fam.tag_count}):
-        rng = random.Random(seed)
-        accepting = sum(any(r.accepted for r in sample_transcript(fam, rounds, rng).rounds)
-                        for _ in range(trials))
-        assert run_attack_montecarlo(fam, rounds, trials, seed).hits == accepting
+        assert run_attack_montecarlo(fam, rounds, trials, seed).hits == \
+            transcript_hits(fam, rounds, trials, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(MC_FAMILIES),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=120))
+def test_montecarlo_hits_match_sample_transcript_on_any_seed(seed, fam, rounds, trials):
+    rounds = min(rounds, fam.tag_count)
+    assert run_attack_montecarlo(fam, rounds, trials, seed).hits == \
+        transcript_hits(fam, rounds, trials, seed)
+
+
+SIZES = (1, 2, 3, 7, 8, 255, 256, 257, 2**16, 2**16 + 1)
+
+
+def test_randrange_is_getrandbits_rejection():
+    # run_attack_montecarlo replays randrange(n) as getrandbits(n.bit_length())
+    # redrawn while >= n; this pins that CPython contract
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+    def below(getrandbits, n):
+        r = getrandbits(n.bit_length())
+        while r >= n:
+            r = getrandbits(n.bit_length())
+        return r
+
+    for kc, tc in itertools.product(SIZES, repeat=2):
+        for seed in range(8):
+            rng, mirror = random.Random(seed), random.Random(seed).getrandbits
+            for _ in range(6):   # one key-sized draw, then a trial's pads
+                for n in (kc, tc, tc, tc):
+                    assert below(mirror, n) == rng.randrange(n)
 
 
 def test_montecarlo_budget_counts_every_round():

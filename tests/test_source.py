@@ -120,3 +120,17 @@ def test_only_the_base_family_encodes_messages():
                     and fn.name in ("message_to_int", "message_from_int")}
     assert defined == {("families.py", "HashFamily", "message_to_int"),
                        ("families.py", "HashFamily", "message_from_int")}
+
+
+ATTACK = Path(recmac.__file__).parent / "attack.py"
+
+
+def test_montecarlo_draws_apart_from_the_protocol_path():
+    # the Monte Carlo replays randrange's stream on getrandbits and plays the
+    # pads itself; sample_transcript stays on randrange and the protocol, so
+    # the tests that hold their hits equal compare two independent paths
+    found = calls_by_function(ATTACK)
+    protocol_path = {"randrange", "authenticate", "verify"}
+    assert not found["run_attack_montecarlo"] & protocol_path
+    assert found["sample_transcript"] >= protocol_path
+    assert "getrandbits" in found["run_attack_montecarlo"]
