@@ -77,9 +77,14 @@ class HashFamily:
             raise DomainError(f"{x!r} is not a message of {self.descriptor()}") from None
 
     def check_key(self, k: int) -> int:
-        if not 0 <= k < self.key_count:
+        if type(k) is not int or not 0 <= k < self.key_count:  # bool is no key
             raise DomainError(f"key {k!r} out of range for {self.descriptor()}")
         return k
+
+    def check_tag(self, t: int, what: str = "tag") -> int:
+        if type(t) is not int or not 0 <= t < self.tag_count:  # bool is no tag
+            raise DomainError(f"{what} {t!r} out of range for {self.descriptor()}")
+        return t
 
     # -- evaluation --------------------------------------------------------
 
@@ -94,8 +99,8 @@ class HashFamily:
 
     def tag_table(self, budget: int = DEFAULT_BUDGET) -> list[list[int]]:
         """The full |K| x |X| evaluation table, built once and cached."""
-        if self._table is None:
-            check_budget(self.key_count * len(self.messages), budget, "evaluation table")
+        # checked on every call, so whether a call refuses never depends on an earlier one
+        check_budget(self.key_count * len(self.messages), budget, "evaluation table")
         return self._tag_table()
 
     def _tag_table(self) -> list[list[int]]:

@@ -30,10 +30,12 @@ the difference maximum
 because h_k(x1) ^ h_k(x2) = h_k(x1 ^ x2) and every nonzero d is realized by
 a pair, the first of them in pair order being (0, d).  That collapses |X|^2
 pair work to |X| difference work with no loss of exactness; the tests hold
-the shortcut to the naive pair loop.  Only the message_bits basis columns
-h_k(e_b) are evaluated.  The walk visits every nonzero d in Gray-code order,
-so consecutive differences differ in one bit b and each step is one XOR of
-the running column with basis column b: K * message_bits tag evaluations
+the shortcut to the naive pair loop.  Only the zero message's column and
+the message_bits basis columns h_k(e_b) are evaluated.  The walk starts from
+an all-zero column, so it first checks that h_k(0) = 0 under every key, as
+linearity forces.  It visits every nonzero d in Gray-code order, so
+consecutive differences differ in one bit b and each step is one XOR of the
+running column with basis column b: K * (message_bits + 1) tag evaluations
 and O(K * message_bits) memory, never the K * |X| table.  The Gray order is
 not message order, so among differences with equal counts the walk keeps
 the smallest d, which is the one the message-order scan would report.
@@ -131,9 +133,9 @@ def _axu2(fam: HashFamily) -> Measurement:
     msgs = fam.messages
     if _linear_ok(fam):
         bits = fam.message_bits
-        if any(fam.message_to_int(msgs[v]) != v for v in (0, *(1 << b for b in range(bits)))):
-            raise VerificationFailed(
-                f"difference walk needs message i at index i in {fam.descriptor()}")
+        if any(_column(fam, msgs[0])):
+            raise VerificationFailed(f"difference walk needs h_k({msgs[0]!r}) = 0 "
+                                     f"under every key of {fam.descriptor()}")
         basis = [_column(fam, msgs[1 << b]) for b in range(bits)]
         col = [0] * fam.key_count
         best = -1

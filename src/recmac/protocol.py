@@ -43,15 +43,12 @@ def verify(fam: HashFamily, key: AuthKey, ym: TaggedMessage):
     """
     _check_key(fam, key)
     expected = fam.tag(key.k1, ym.x) ^ key.k2
-    if not 0 <= ym.t < fam.tag_count:
-        raise DomainError(f"tag {ym.t!r} out of range for {fam.descriptor()}")
-    return ym.x if expected == ym.t else None
+    return ym.x if expected == fam.check_tag(ym.t) else None
 
 
 def _check_key(fam: HashFamily, key: AuthKey) -> None:
     fam.check_key(key.k1)
-    if not 0 <= key.k2 < fam.tag_count:
-        raise DomainError(f"pad {key.k2!r} out of range for {fam.descriptor()}")
+    fam.check_tag(key.k2, "pad")
 
 
 class KeyStream:
@@ -96,8 +93,7 @@ def _byte_len(bits: int) -> int:
 def pack_tagged(fam: HashFamily, ym: TaggedMessage) -> bytes:
     """Wire form: the message's index, then the tag, each big-endian byte-padded."""
     xv = fam.message_to_int(ym.x)
-    if not 0 <= ym.t < fam.tag_count:
-        raise DomainError(f"tag {ym.t!r} out of range for {fam.descriptor()}")
+    fam.check_tag(ym.t)
     return xv.to_bytes(_byte_len(fam.message_bits), "big") + ym.t.to_bytes(
         _byte_len(fam.tag_bits), "big"
     )
@@ -111,7 +107,5 @@ def unpack_tagged(fam: HashFamily, data: bytes) -> TaggedMessage:
             f"wire message for {fam.descriptor()} must be {nx + nt} bytes, got {len(data)}"
         )
     xv = int.from_bytes(data[:nx], "big")
-    t = int.from_bytes(data[nx:], "big")
-    if t >= fam.tag_count:
-        raise DomainError(f"tag {t} does not fit in {fam.tag_bits} bits")
+    t = fam.check_tag(int.from_bytes(data[nx:], "big"))
     return TaggedMessage(fam.message_from_int(xv), t)

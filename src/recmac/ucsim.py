@@ -47,11 +47,12 @@ gets one verdicts() call for all keys, turned into a mask of the rejecting
 keys that every observed y shares; a group that sent the wire unmodified
 instead counts the keys whose verdict is its own message.  Impersonation is
 one more group in the same loop: all keys, never reached unmodified, so
-out0 = None.  Each witness is re-run through run_real/run_ideal and
+out0 = None.  Each witness is re-run through uc_distance and
 VerificationFailed is raised unless the numbers agree, so a reported maximum
-never rests on the decomposition or the kernel alone.  The runs loop over
-the same (x, y-group) deliveries, take verdicts() per group, and count
-integers over one denominator, building one Fraction per outcome.
+never rests on the decomposition or the kernel alone.  run_real, run_ideal
+and uc_distance share one pass that builds the protocol, the keys and the
+(x, y-group) deliveries once, takes verdicts() per group and counts both
+worlds in integers, each over the one denominator its Dist keeps.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .dist import Dist, outcome_sort_key, statistical_distance
@@ -83,10 +83,7 @@ def _split_wire(fam: HashFamily, wire) -> tuple:
         xp, tp = wire
     except (TypeError, ValueError):
         raise DomainError(f"wire message must be (message, tag), got {wire!r}") from None
-    i = fam.message_index(xp)
-    if not isinstance(tp, int) or not 0 <= tp < fam.tag_count:
-        raise DomainError(f"tag {tp!r} out of range for {fam.descriptor()}")
-    return xp, i, tp
+    return xp, fam.message_index(xp), fam.check_tag(tp)
 
 
 class AuthProtocol:
@@ -274,7 +271,7 @@ def _run_protocol(fam_or_proto, env: EnvStrategy, recycle: bool,
     On a family the work counted includes the K x |X| tag table, cached or
     not, so whether a run is refused never depends on an earlier call.
     """
-    support = 1 if env.mode == IMPERSONATION else len(env.msg_dist.weights)
+    support = 1 if env.mode == IMPERSONATION else len(env.msg_dist)
     work = support * _key_count(fam_or_proto, recycle)
     if isinstance(fam_or_proto, HashFamily):
         work += fam_or_proto.key_count * len(fam_or_proto.messages)
@@ -300,34 +297,43 @@ def _deliveries(proto: AuthProtocol, env: EnvStrategy, keys: list) -> tuple[tupl
     """
     if env.mode == IMPERSONATION:
         return FIELDS_IMP, 1, [((env.inject,), 1, range(len(keys)), env.inject, None)]
-    denom = lcm(*(px.denominator for px in env.msg_dist.weights.values()))
     deliveries = []
-    for (x,), px in env.msg_dist.items():
+    for (x,), w in env.msg_dist.counts.items():
         proto.check_message(x)
-        w = px.numerator * (denom // px.denominator)
         for y, idx in _y_groups(proto, keys, x):
             yp = env.deliver(y)
             deliveries.append(((x, y, yp), w, idx, yp, x if yp == y else None))
-    return FIELDS_SUB, denom, deliveries
+    return FIELDS_SUB, env.msg_dist.denom, deliveries
 
 
-def _finish(counts: dict, denom: int, fields: tuple, proto: AuthProtocol) -> Dist:
-    """The Dist of `counts` over `denom`, with k1 (the last field) if recycled."""
-    n = len(fields) - (not proto.recycles)  # without recycling k1 is always None
-    return Dist(fields[:n], {o[:n]: Fraction(c, denom) for o, c in counts.items()})
+def _runs(fam_or_proto, env: EnvStrategy, recycle: bool, budget: int) -> tuple[Dist, Dist]:
+    """The real and the ideal outcome distributions, from one set of deliveries.
+
+    Each world counts integers over its own denominator.  Without recycling
+    k1 is always None, so it is not counted.
+    """
+    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
+    fields, denom, deliveries = _deliveries(proto, env, keys)
+    if proto.recycles:
+        rec = [(proto.recycled(key),) for key in keys]
+        rvals = [(r,) for r in proto.recycled_values()]
+    else:
+        fields, rec, rvals = fields[:-1], [()] * len(keys), [()]
+    real: dict[tuple, int] = defaultdict(int)
+    ideal: dict[tuple, int] = defaultdict(int)
+    for head, w, idx, yp, out0 in deliveries:
+        for i, out in zip(idx, proto.verdicts([keys[i] for i in idx], yp)):
+            real[head + (out,) + rec[i]] += w
+        for r in rvals:
+            ideal[head + (out0,) + r] += w * len(idx)
+    denom *= len(keys)
+    return Dist(fields, real, denom), Dist(fields, ideal, denom * len(rvals))
 
 
 def run_real(fam_or_proto, env: EnvStrategy, recycle: bool = False,
              budget: int = DEFAULT_BUDGET) -> Dist:
     """Exact outcome distribution of the real execution under `env`."""
-    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
-    fields, denom, deliveries = _deliveries(proto, env, keys)
-    counts: dict[tuple, int] = defaultdict(int)
-    for head, w, idx, yp, _ in deliveries:
-        group = [keys[i] for i in idx]
-        for key, out in zip(group, proto.verdicts(group, yp)):
-            counts[head + (out, proto.recycled(key))] += w
-    return _finish(counts, denom * len(keys), fields, proto)
+    return _runs(fam_or_proto, env, recycle, budget)[0]
 
 
 def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
@@ -339,20 +345,12 @@ def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
     accepts only if the delivery is unmodified, and the recycled key is drawn
     uniformly, independent of the transcript.
     """
-    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
-    fields, denom, deliveries = _deliveries(proto, env, keys)
-    rvals = list(proto.recycled_values()) if proto.recycles else [None]
-    counts: dict[tuple, int] = defaultdict(int)
-    for head, w, idx, _, out0 in deliveries:
-        for k1 in rvals:
-            counts[head + (out0, k1)] += w * len(idx)
-    return _finish(counts, denom * len(keys) * len(rvals), fields, proto)
+    return _runs(fam_or_proto, env, recycle, budget)[1]
 
 
 def uc_distance(fam_or_proto, env: EnvStrategy, recycle: bool = False,
                 budget: int = DEFAULT_BUDGET) -> Fraction:
-    return statistical_distance(run_real(fam_or_proto, env, recycle, budget),
-                                run_ideal(fam_or_proto, env, recycle, budget))
+    return statistical_distance(*_runs(fam_or_proto, env, recycle, budget))
 
 
 def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,

@@ -111,3 +111,43 @@ def test_distance_is_a_metric(a, b, c):
     assert dab == statistical_distance(b, a)
     assert (dab == 0) == (a == b)
     assert dab <= statistical_distance(a, c) + statistical_distance(c, b)
+
+
+@st.composite
+def counts_over(draw):
+    """(counts, denom): 1 to 5 non-negative counts with a positive sum."""
+    counts = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=5))
+    if sum(counts) == 0:
+        counts[0] = 1
+    return {(i,): c for i, c in enumerate(counts)}, sum(counts)
+
+
+@given(counts_over(), st.integers(min_value=1, max_value=6))
+def test_counts_over_a_denominator_mean_their_fractions(cd, scale):
+    counts, denom = cd
+    fractions = {o: F(c, denom) for o, c in counts.items()}
+    d = Dist(("v",), counts, denom)
+    assert d == Dist(("v",), fractions)
+    assert d == Dist(("v",), {o: c * scale for o, c in counts.items()}, denom * scale)
+    assert d.weights == {o: w for o, w in fractions.items() if w}
+    assert all(d.p(o) == w for o, w in fractions.items())
+
+
+@given(counts_over(), counts_over())
+def test_distance_is_the_naive_fraction_sum(a, b):
+    pf = {o: F(c, a[1]) for o, c in a[0].items()}
+    qf = {o: F(c, b[1]) for o, c in b[0].items()}
+    naive = sum((abs(pf.get(o, 0) - qf.get(o, 0)) for o in pf.keys() | qf.keys()), F(0)) / 2
+    assert statistical_distance(Dist(("v",), *a), Dist(("v",), *b)) == naive
+
+
+@pytest.mark.parametrize("weights, denom", [
+    ({(0,): -1, (1,): 3}, 2),          # negative count
+    ({(0,): 1, (1,): 1}, 3),           # sums to 2, not 3
+    ({(0,): 1}, 0), ({}, 0),           # denominator 0
+    ({(0,): -1}, -1),                  # negative denominator
+    ({(0,): 1}, 1.0),                  # not an int
+])
+def test_counts_and_denominator_are_validated(weights, denom):
+    with pytest.raises(ValueError):
+        Dist(("a",), weights, denom)

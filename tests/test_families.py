@@ -13,6 +13,7 @@ from recmac import (
     PolyFamily,
     TableFamily,
     ToeplitzFamily,
+    WcProtocol,
     lift_to_asu2,
     parse_family,
 )
@@ -120,6 +121,16 @@ def test_tag_table_budget():
     fam = ToeplitzFamily(8, 8)   # 2^15 keys * 256 messages
     with pytest.raises(BudgetExceeded):
         fam.tag_table(budget=1000)
+
+
+def test_tag_table_checks_its_budget_on_every_call():
+    # a cached table is no reason to admit a call the budget refuses
+    fam = MulFamily(3)
+    fam.tag_table()
+    with pytest.raises(BudgetExceeded):
+        fam.tag_table(budget=1)
+    with pytest.raises(BudgetExceeded):
+        WcProtocol(fam, True, budget=1)
 
 
 def test_tag_validation():

@@ -179,10 +179,18 @@ def test_sampling_needs_at_least_one_pair(pairs):
         sample_axu2(MulFamily(3), pairs=pairs)
 
 
-def test_difference_shortcut_checks_zero_message(monkeypatch):
-    monkeypatch.setattr(MulFamily, "message_to_int", lambda self, x: 1)
+class ReorderedMul(MulFamily):
+    """GF(2^m) multiplication with messages 0 and 1 swapped: message 0 is not zero."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.messages = [1, 0, *range(2, 1 << m)]
+
+
+def test_difference_shortcut_checks_zero_message():
+    # the walk reads message 0 as the zero difference, so it must hash to 0
     with pytest.raises(VerificationFailed):
-        measure_axu2(MulFamily(2))
+        measure_axu2(ReorderedMul(2))
 
 
 def test_sampling_finds_maximum_on_tiny_family():
@@ -267,10 +275,18 @@ def test_linear_axu2_reads_basis_columns_only():
     assert peak < 2 << 20   # the full 1024 x 1024 table would take about 8 MB
 
 
-def test_difference_walk_checks_basis_messages(monkeypatch):
-    monkeypatch.setattr(MulFamily, "message_to_int", lambda self, x: 0 if x == 0 else x ^ 1)
+class OffsetMul(MulFamily):
+    """Flagged linear, yet h_k(0) = k: a family the difference walk must refuse."""
+
+    def _tag(self, k, x):
+        return self.field.mul(k, x) if x else k
+
+
+def test_difference_walk_checks_the_zero_column():
+    fam = OffsetMul(2)
+    assert axu2_oracle(fam) == 1   # the walk from an all-zero column would say 1/4
     with pytest.raises(VerificationFailed):
-        measure_axu2(MulFamily(2))
+        measure_axu2(fam)
 
 
 def test_epsilon_sweep_script_runs_under_O():

@@ -16,6 +16,7 @@ from recmac import (
     TableFamily,
     TaggedMessage,
     ToeplitzFamily,
+    WcProtocol,
     authenticate,
     lift_to_asu2,
     pack_tagged,
@@ -121,6 +122,30 @@ def test_unpack_validates():
 def test_pack_refuses_a_non_message(fam, x):
     with pytest.raises(DomainError):
         pack_tagged(fam, TaggedMessage(x, 0))
+
+
+# every entry point takes a tag (or a pad) through HashFamily.check_tag, so a
+# float, a bool, a string, None or an out-of-range int is one DomainError
+TAG_ENTRY_POINTS = {
+    "check_tag": lambda fam, t: fam.check_tag(t),
+    "verify": lambda fam, t: verify(fam, AuthKey(1, 0), TaggedMessage(1, t)),
+    "pad": lambda fam, t: authenticate(fam, AuthKey(1, t), 1),
+    "pack_tagged": lambda fam, t: pack_tagged(fam, TaggedMessage(1, t)),
+    "split_wire": lambda fam, t: WcProtocol(fam, False).receive(1, (1, t)),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, True, "1", None, -1, 4])
+@pytest.mark.parametrize("entry", sorted(TAG_ENTRY_POINTS))
+def test_one_rule_for_tags_and_pads(entry, t):
+    with pytest.raises(DomainError):
+        TAG_ENTRY_POINTS[entry](MulFamily(2), t)
+
+
+@pytest.mark.parametrize("k", [1.0, True, "1", None, -1, 4])
+def test_one_rule_for_keys(k):
+    with pytest.raises(DomainError):
+        MulFamily(2).check_key(k)
 
 
 WIRE_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(9), PolyFamily(4, 2), PolyFamily(3, 3),

@@ -94,6 +94,18 @@ def test_both_searches_count_through_the_one_kernel():
     assert popcounts == {"_tv_numerator", "_group"}
 
 
+def test_runs_count_in_integers_over_one_pass():
+    # a run counts integers over one denominator and its Dist keeps them, so
+    # Fraction is built only for a search's numerators and a caller's weights,
+    # and one private pass makes the deliveries for both worlds
+    found = calls_by_function(UCSIM)
+    assert {name for name, calls in found.items() if "Fraction" in calls} == {
+        "_search", "substitute"}
+    assert {name for name, calls in found.items() if "_deliveries" in calls} == {"_runs"}
+    dist = calls_by_function(Path(recmac.__file__).parent / "dist.py")
+    assert "Fraction" not in dist["project"]
+
+
 def test_only_the_default_verdicts_calls_receive():
     # every run and search asks verdicts() for a whole key group, so a
     # protocol's one wire check is the only way to its receiver
