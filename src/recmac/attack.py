@@ -37,11 +37,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, DEFAULT_BUDGET, check_budget
+from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 from .measure import _difference_column, measure_axu2
 from .protocol import KeyStream, TaggedMessage, authenticate, verify
@@ -62,17 +61,19 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class ExactEntropy:
+class ExactEntropy(Record):
     """A value q0 + sum q_p * log2(p) over odd primes p, exactly.
 
     log2 of any positive rational lands in this set, and by unique
-    factorization the representation is unique, so dataclass equality is
-    equality of real numbers.  Only bits (base-2 logs) appear here.
+    factorization the representation is unique, so equality of the two
+    fields is equality of real numbers.  Only bits (base-2 logs) appear
+    here.  ExactEntropy() is zero.
     """
 
-    rational: Fraction = Fraction(0)
-    terms: tuple[tuple[int, Fraction], ...] = ()
+    __slots__ = ("rational", "terms")
+    _defaults = {"rational": Fraction(0), "terms": ()}
+    rational: Fraction
+    terms: tuple[tuple[int, Fraction], ...]
 
     @classmethod
     def _make(cls, rational: Fraction, coeffs: dict[int, Fraction]) -> "ExactEntropy":
@@ -130,8 +131,8 @@ class RoundRecord(NamedTuple):
     accepted: bool
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(Record):
+    __slots__ = ("rounds", "guesses")
     rounds: tuple[RoundRecord, ...]
     guesses: tuple[int, ...]   # tag-difference candidates tried, in order
 
@@ -145,8 +146,9 @@ class Transcript:
             raise ValueError("the attack stops substituting after a success")
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(Record):
+    __slots__ = ("rounds", "x", "x_sub", "success_prob", "success_formula",
+                 "per_round_conditional", "entropy_bits", "entropy_formula_bits")
     rounds: int
     x: object
     x_sub: object
@@ -157,8 +159,9 @@ class AttackReport:
     entropy_formula_bits: ExactEntropy
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
+class MonteCarloReport(Record):
+    __slots__ = ("rounds", "trials", "hits", "rate", "expected", "interval", "within_3sigma",
+                 "seed")
     rounds: int
     trials: int
     hits: int

@@ -34,11 +34,10 @@ honest; in the ideal world it substitutes for as long as it has candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .attack import _eliminated
-from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
+from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 from .measure import measure_axu2
 
@@ -46,29 +45,29 @@ LIST_ELIMINATION = "list-elimination"
 IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class ToyQkdFunctionality:
+class ToyQkdFunctionality(Record):
     """A declared-quality key source: emits out_bits, promises eps_prime."""
 
+    __slots__ = ("out_bits", "eps_prime")
     out_bits: int
     eps_prime: Fraction
 
-    def __post_init__(self):
+    def _check(self):
         if self.out_bits < 0:
             raise DomainError("out_bits must be non-negative")
         if not 0 <= self.eps_prime <= 1:
             raise DomainError("eps_prime must be a probability")
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
+    __slots__ = ("round", "component", "epsilon")
     round: int        # key-generation round, 1-based
     component: str    # "auth" or "qkd"
     epsilon: Fraction
 
 
-@dataclass(frozen=True)
-class ErrorLedger:
+class ErrorLedger(Record):
+    __slots__ = ("entries",)
     entries: tuple[LedgerEntry, ...]
 
     @property

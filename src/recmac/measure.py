@@ -51,24 +51,24 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import xor
 
-from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
+from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(Record):
+    __slots__ = ("kind", "epsilon", "witness")
     kind: str            # "axu2" or "asu2"
     epsilon: Fraction
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class SampledMeasurement:
+class SampledMeasurement(Record):
+    __slots__ = ("kind", "epsilon_estimate", "interval", "pairs_sampled", "pair_coverage",
+                 "seed", "witness")
     kind: str
     epsilon_estimate: Fraction   # certified lower bound: exact for the witness pair
     interval: tuple[float, float]

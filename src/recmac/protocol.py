@@ -64,7 +64,7 @@ class KeyStream:
         self.pads = tuple(pads)
         self.tag_bits = tag_bits
         for p in self.pads:
-            if not 0 <= p < (1 << tag_bits):
+            if type(p) is not int or not 0 <= p < (1 << tag_bits):  # bool is no pad
                 raise DomainError(f"pad {p!r} does not fit in {tag_bits} bits")
         self.cursor = 0
 

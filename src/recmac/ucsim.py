@@ -58,12 +58,11 @@ worlds in integers, each over the one denominator its Dist keeps.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .dist import Dist, outcome_sort_key, statistical_distance
-from .errors import DomainError, VerificationFailed, DEFAULT_BUDGET, check_budget
+from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
 from .families import CounterexampleFamily, HashFamily
 
 SUBSTITUTION = "substitution"
@@ -74,7 +73,7 @@ FIELDS_IMP = ("yp", "out", "k1")
 
 
 def _is_wire(v) -> bool:
-    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[1], int)
+    return isinstance(v, tuple) and len(v) == 2 and type(v[1]) is int  # bool is no tag
 
 
 def _split_wire(fam: HashFamily, wire) -> tuple:
@@ -208,8 +207,7 @@ def as_protocol(fam_or_proto, recycle: bool = False,
     raise DomainError(f"not a family or protocol: {fam_or_proto!r}")
 
 
-@dataclass(frozen=True)
-class EnvStrategy:
+class EnvStrategy(Record):
     """A deterministic environment.
 
     Substitution mode: `msg_dist` is a Dist over ("x",) and `subst` maps the
@@ -219,12 +217,14 @@ class EnvStrategy:
     `inject` is delivered before any round runs.
     """
 
+    __slots__ = ("mode", "msg_dist", "subst", "inject")
+    _defaults = {"msg_dist": None, "subst": dict, "inject": None}
     mode: str
-    msg_dist: Optional[Dist] = None
-    subst: Mapping[tuple, tuple] = field(default_factory=dict)
-    inject: Optional[tuple] = None
+    msg_dist: Optional[Dist]
+    subst: Mapping[tuple, tuple]
+    inject: Optional[tuple]
 
-    def __post_init__(self):
+    def _check(self):
         if self.mode == SUBSTITUTION:
             if self.msg_dist is None or self.msg_dist.fields != ("x",):
                 raise DomainError("substitution strategy needs a msg_dist over ('x',)")

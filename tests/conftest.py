@@ -8,7 +8,10 @@ obviously, so a library bug cannot hide in a shared helper.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -394,6 +397,51 @@ def composition_tv_oracle(fam, r: int, l: int, env: str) -> Fraction:
     for cell in real.keys() | ideal.keys():
         diff += abs(real.get(cell, 0) - ideal.get(cell, 0))
     return Fraction(diff, 2 * fam.key_count * tc ** n)
+
+
+# -- frozen value classes, held against frozen dataclasses ----------------------
+
+
+def record_contract(cls, fields: dict, changed: tuple) -> None:
+    """Check a value class against a frozen dataclass with the same fields.
+
+    `fields` builds one instance by keyword, in field order; `changed` is a
+    (field, other value) pair that builds a different one.  The dataclass is
+    the oracle for repr and hash, and a class of its own for equality.
+    """
+    names = tuple(fields)
+    value = cls(**fields)
+    same = cls(*fields.values())
+    twin = dataclasses.make_dataclass(cls.__name__, names, frozen=True)(**fields)
+    other = cls(**{**fields, changed[0]: changed[1]})
+    assert value == same and not value != same
+    assert value != other and other != value
+    assert value != twin and twin != value
+    assert value != tuple(fields.values()) and tuple(fields.values()) != value
+    assert repr(value) == repr(twin)
+    try:
+        want = hash(twin)
+    except TypeError:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert hash(value) == hash(same) == want
+    for name in (*names, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == same and all(getattr(value, n) is fields[n] for n in names)
+    assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(TypeError):
+        cls(**fields, not_a_field=None)
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(fields[names[0]], **fields)
+    for name in [n for n in names if n not in getattr(cls, "_defaults", {})]:
+        with pytest.raises(TypeError, match=name):
+            cls(**{n: v for n, v in fields.items() if n != name})
 
 
 # -- shared fixtures ------------------------------------------------------------

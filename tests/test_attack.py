@@ -15,8 +15,10 @@ from recmac import (
     AuthKey,
     BudgetExceeded,
     CounterexampleFamily,
+    AttackReport,
     DomainError,
     ExactEntropy,
+    MonteCarloReport,
     MulFamily,
     PolyFamily,
     RoundRecord,
@@ -34,7 +36,7 @@ from recmac import (
     verify,
 )
 
-from conftest import build_table16
+from conftest import build_table16, record_contract
 
 
 def attack_success_oracle(fam, rounds):
@@ -398,3 +400,31 @@ def test_montecarlo_budget_counts_every_round():
     assert run_attack_montecarlo(fam, 2, trials=10, budget=20).trials == 10
     with pytest.raises(BudgetExceeded, match="Monte Carlo"):
         run_attack_montecarlo(fam, 2, trials=10, budget=19)
+
+
+# -- the value classes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (ExactEntropy, {"rational": F(1, 2), "terms": ((3, F(1)),)}, ("terms", ())),
+    (Transcript, {"rounds": (RoundRecord(0, 1, 1, 2, False),), "guesses": (0,)},
+     ("guesses", (1,))),
+    (AttackReport,
+     {"rounds": 1, "x": 0, "x_sub": 1, "success_prob": F(1, 4), "success_formula": F(1, 4),
+      "per_round_conditional": (F(1, 4),), "entropy_bits": ExactEntropy(F(2)),
+      "entropy_formula_bits": ExactEntropy(F(2))},
+     ("entropy_bits", ExactEntropy(F(1)))),
+    (MonteCarloReport,
+     {"rounds": 2, "trials": 10, "hits": 3, "rate": F(3, 10), "expected": F(1, 4),
+      "interval": (0.0, 0.7), "within_3sigma": True, "seed": 0},
+     ("hits", 4)),
+], ids=["ExactEntropy", "Transcript", "AttackReport", "MonteCarloReport"])
+def test_value_classes_keep_the_frozen_dataclass_contract(cls, fields, changed):
+    record_contract(cls, fields, changed)
+
+
+def test_exact_entropy_defaults_to_zero():
+    zero = ExactEntropy()
+    assert zero == ExactEntropy(F(0), ()) == ExactEntropy.log2(1) == entropy_of([F(1)])
+    assert (zero.rational, zero.terms, float(zero)) == (0, (), 0.0)
+    assert ExactEntropy(rational=F(3)) == ExactEntropy.log2(8)

@@ -32,7 +32,7 @@ from recmac import (
 )
 from recmac.cli import main as cli_main
 
-from conftest import build_table16, composition_tv_oracle
+from conftest import build_table16, composition_tv_oracle, record_contract
 
 
 def test_ledger_frozen_example():
@@ -80,10 +80,11 @@ def test_ledger_raises_when_entries_miss_the_closed_form(monkeypatch):
 
 
 def test_qkd_functionality_validation():
-    with pytest.raises(DomainError):
-        ToyQkdFunctionality(-1, F(0))
-    with pytest.raises(DomainError):
-        ToyQkdFunctionality(4, F(3, 2))
+    for bad in ((-1, 0), (4, F(3, 2)), (4, -F(1, 10))):
+        with pytest.raises(DomainError):
+            ToyQkdFunctionality(*bad)
+        with pytest.raises(DomainError):
+            ToyQkdFunctionality(out_bits=bad[0], eps_prime=bad[1])
     with pytest.raises(DomainError):
         compose_ledger(MulFamily(2), 0, 1, ToyQkdFunctionality(2, F(0)))
 
@@ -224,3 +225,16 @@ def test_composition_budget_script_runs():
                        timeout=120)
     assert r.returncode == 0, r.stderr
     assert "over budget" in r.stdout
+
+
+# -- the value classes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (ToyQkdFunctionality, {"out_bits": 4, "eps_prime": F(1, 10)}, ("out_bits", 5)),
+    (LedgerEntry, {"round": 1, "component": "auth", "epsilon": F(1, 4)},
+     ("component", "qkd")),
+    (ErrorLedger, {"entries": (LedgerEntry(1, "qkd", F(0)),)}, ("entries", ())),
+], ids=["ToyQkdFunctionality", "LedgerEntry", "ErrorLedger"])
+def test_value_classes_keep_the_frozen_dataclass_contract(cls, fields, changed):
+    record_contract(cls, fields, changed)

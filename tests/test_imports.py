@@ -13,11 +13,14 @@ from recmac import measure
 
 SRC = str(Path(recmac.__file__).resolve().parents[1])
 
-# Prints the sorted recmac.* modules loaded after the statement in argv[1] runs.
+# Prints the sorted recmac.* modules loaded once the statement in argv[1] has
+# run, then every module that statement loaded.
 PROBE = """\
 import sys
+before = set(sys.modules)
 exec(sys.argv[1])
 print(" ".join(sorted(m for m in sys.modules if m == "recmac" or m.startswith("recmac."))))
+print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 RUN_CLI = """\
@@ -32,22 +35,30 @@ if code != 0:
 CLI = ["recmac", "recmac.cli", "recmac.errors", "recmac.families", "recmac.gf2m",
        "recmac.measure"]
 
+# dataclasses and what it imports: each would be compiled anew by every job
+# run without a bytecode cache
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
 
 def loaded(statement, *argv):
+    """The recmac modules loaded after `statement`, and every module it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-c", PROBE, statement, *argv], env=env,
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    return r.stdout.split()
+    ours, new = r.stdout.split("\n")[:2]
+    return ours.split(), set(new.split())
 
 
 def test_import_recmac_loads_only_the_package():
-    assert loaded("import recmac") == ["recmac"]
+    assert loaded("import recmac")[0] == ["recmac"]
 
 
 def test_import_cli_loads_what_epsilon_needs():
-    assert loaded("import recmac.cli") == CLI
+    ours, new = loaded("import recmac.cli")
+    assert ours == CLI
+    assert "recmac.cli" in new and not new & HEAVY
 
 
 SUBCOMMANDS = [
@@ -65,7 +76,9 @@ SUBCOMMANDS = [
 
 @pytest.mark.parametrize("argv, extra", SUBCOMMANDS, ids=[a[0] for a, _ in SUBCOMMANDS])
 def test_each_subcommand_loads_only_what_it_runs(argv, extra):
-    assert loaded(RUN_CLI, *argv) == sorted(CLI + [f"recmac.{m}" for m in extra])
+    ours, new = loaded(RUN_CLI, *argv)
+    assert ours == sorted(CLI + [f"recmac.{m}" for m in extra])
+    assert "recmac.cli" in new and not new & HEAVY
 
 
 def test_every_export_resolves_to_its_home_module_object():

@@ -16,6 +16,7 @@ from recmac import (
     CounterexampleFamily,
     DomainError,
     Measurement,
+    SampledMeasurement,
     MulFamily,
     PolyFamily,
     TableFamily,
@@ -28,7 +29,9 @@ from recmac import (
     tag_marginal,
 )
 
-from conftest import asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle
+from conftest import (
+    asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle, record_contract,
+)
 
 SMALL_FAMILIES = [
     MulFamily(2),
@@ -298,3 +301,18 @@ def test_epsilon_sweep_script_runs_under_O():
     assert r.returncode == 0, r.stderr
     assert "Traceback" not in r.stderr
     assert "poly:m=4,L=4" in r.stdout and "lifted asu2" in r.stdout
+
+
+# -- the value classes -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls, fields, changed", [
+    (Measurement, {"kind": "axu2", "epsilon": F(1, 4), "witness": ((0, 1), 2)},
+     ("epsilon", F(1, 2))),
+    (SampledMeasurement,
+     {"kind": "axu2", "epsilon_estimate": F(1, 8), "interval": (0.1, 0.2), "pairs_sampled": 3,
+      "pair_coverage": F(1, 2), "seed": 0, "witness": None},
+     ("seed", 1)),
+], ids=["Measurement", "SampledMeasurement"])
+def test_value_classes_keep_the_frozen_dataclass_contract(cls, fields, changed):
+    record_contract(cls, fields, changed)

@@ -75,8 +75,9 @@ def test_key_stream():
     assert ks.bits_consumed == 6
     with pytest.raises(PadExhausted):
         ks.next_key()
-    with pytest.raises(DomainError):
-        KeyStream(0, (4,), tag_bits=2)
+    for pads in ((4,), (1.0, True), (True,), (False,), (1.0,), ("1",), (None,)):
+        with pytest.raises(DomainError, match="pad"):  # a pad is an int, never a bool
+            KeyStream(1, pads, tag_bits=2)
 
 
 def test_pack_frozen():

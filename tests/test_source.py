@@ -146,3 +146,49 @@ def test_montecarlo_draws_apart_from_the_protocol_path():
     assert not found["run_attack_montecarlo"] & protocol_path
     assert found["sample_transcript"] >= protocol_path
     assert "getrandbits" in found["run_attack_montecarlo"]
+
+
+# start-up: no module loads dataclasses (which loads inspect, ast, dis and
+# tokenize); the value classes derive from errors.Record, and each one's
+# annotations name its __slots__ fields in order
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names
+                      if n.partition(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def record_classes():
+    """{class name: (its __slots__, its annotated names)} of every Record subclass."""
+    found = {}
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef) and any(
+                    isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases):
+                slots = next(ast.literal_eval(s.value) for s in cls.body
+                             if isinstance(s, ast.Assign)
+                             and [t.id for t in s.targets] == ["__slots__"])
+                annotated = tuple(s.target.id for s in cls.body
+                                  if isinstance(s, ast.AnnAssign))
+                found[cls.name] = (slots, annotated)
+    return found
+
+
+def test_value_classes_are_records_with_annotated_slots():
+    found = record_classes()
+    assert sorted(found) == sorted([
+        "Measurement", "SampledMeasurement", "ExactEntropy", "Transcript", "AttackReport",
+        "MonteCarloReport", "ToyQkdFunctionality", "LedgerEntry", "ErrorLedger",
+        "EnvStrategy"])
+    assert {name: slots for name, (slots, annotated) in found.items()
+            if slots != annotated} == {}

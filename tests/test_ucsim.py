@@ -42,7 +42,9 @@ from recmac import (
 from recmac import ucsim
 from recmac.ucsim import FIELDS_IMP, FIELDS_SUB, as_protocol
 
-from conftest import impersonation_tv_oracle, run_oracle, substitution_tv_oracle
+from conftest import (
+    impersonation_tv_oracle, record_contract, run_oracle, substitution_tv_oracle,
+)
 
 
 def all_wires(fam):
@@ -438,6 +440,9 @@ def test_env_strategy_validation():
         EnvStrategy.substitute(0, {(0, 1): 3})
     with pytest.raises(DomainError):
         EnvStrategy.substitute(0, {0: (0, 1)})
+    for subst in ({(0, 0): (1, True)}, {(0, False): (1, 0)}, {(0, 0): (1, 1.0)}):
+        with pytest.raises(DomainError, match="wire -> wire"):  # bool is no tag
+            EnvStrategy.substitute(0, subst)
     env = EnvStrategy.substitute({0: F(1, 2), 1: F(1, 2)}, {})
     assert env.msg_dist.p((0,)) == F(1, 2)
 
@@ -575,3 +580,33 @@ def test_verdicts_are_receive_under_every_key(proto):
     for bad in ((0, 0, 0), (9, 0), (0, 99)):
         with pytest.raises(DomainError):
             proto.verdicts(keys, bad)
+
+
+# -- the value class -------------------------------------------------------------
+
+
+def test_env_strategy_keeps_the_frozen_dataclass_contract():
+    fields = {"mode": "substitution", "msg_dist": Dist.point(("x",), (0,)),
+              "subst": {(0, 0): (1, 1)}, "inject": None}
+    record_contract(EnvStrategy, fields, ("subst", {}))
+    record_contract(EnvStrategy, {"mode": "impersonation", "msg_dist": None, "subst": {},
+                                  "inject": (0, 1)}, ("inject", (1, 1)))
+
+
+def test_env_strategies_never_share_a_substitution_map():
+    a = EnvStrategy("impersonation", inject=(0, 0))
+    b = EnvStrategy("impersonation", inject=(0, 0))
+    assert a.subst == b.subst == {} and a.subst is not b.subst
+    a.subst[(0, 0)] = (1, 1)
+    assert b.subst == {} and EnvStrategy("impersonation", inject=(0, 0)).subst == {}
+    c, d = EnvStrategy.substitute(0), EnvStrategy.substitute(0)
+    assert c.subst is not d.subst
+
+
+def test_a_bool_key_does_not_substitute_for_the_wire_it_equals():
+    # (0, True) == (0, 1) and hashes alike, so as a map key it would replace
+    # the wire (0, 1); it is refused instead
+    with pytest.raises(DomainError):
+        EnvStrategy.substitute(0, {(0, True): (1, 2)})
+    env = EnvStrategy.substitute(0, {(0, 1): (1, 2)})
+    assert env.deliver((0, 1)) == (1, 2) and env.deliver((0, 0)) == (0, 0)
