@@ -6,11 +6,13 @@ the tag space in a fixed order.  The forgery is accepted in round i exactly
 when c_i equals the key's hash difference c(k1) = h_{k1}(x) ^ h_{k1}(x_sub);
 a rejection eliminates one candidate for good.  The one-time pads cancel out
 of every acceptance event, so the exact engine enumerates k1 only and
-integrates the pads away analytically.  The Monte Carlo engine keeps the pads
+integrates the pads away analytically: it reads measure._eliminated, the
+number of keys at each value of c(k1).  The Monte Carlo engine keeps the pads
 explicit: per trial it draws k1 and one pad per round, and plays the rounds
 on the masked tags; h_{k1} is evaluated on x and x_sub once per distinct key
-drawn.  It draws what sample_transcript draws, bit for bit as randrange
-would, straight from getrandbits.  sample_transcript itself calls randrange
+drawn, and the expected rate is the exact share from the same count.  It
+draws what sample_transcript draws, bit for bit as randrange would,
+straight from getrandbits.  sample_transcript itself calls randrange
 and runs every round through authenticate and verify, and the tests hold
 the two to the same hit count on every seed.
 
@@ -22,7 +24,8 @@ c(k1) is uniform over the tag space, which pins everything down:
     H(K1 | transcript after L)  = (L/|T|) log2(|K|/|T|)
                                   + (1 - L/|T|) log2((|K|/|T|)(|T| - L))
 
-The entropy is computed from the actual posteriors and compared with that
+k1 fixes its acceptance pattern, so the entropy is computed as
+log2|K| - H(pattern) from the actual class sizes and compared with that
 closed form *exactly*: values are kept as q0 + sum q_p log2(p) over odd
 primes, where unique factorization makes the representation canonical, so
 structural equality is value equality.
@@ -42,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
-from .measure import _difference_column, measure_axu2
+from .measure import _attack_pair, _eliminated, measure_axu2
 from .protocol import KeyStream, TaggedMessage, authenticate, verify
 
 
@@ -172,26 +175,9 @@ class MonteCarloReport(Record):
     seed: int
 
 
-def _attack_pair(fam: HashFamily):
-    if len(fam.messages) < 2:
-        raise DomainError("the attack needs at least two messages")
-    return fam.messages[0], fam.messages[1]
-
-
 def _check_rounds(fam: HashFamily, rounds: int, least: int = 1) -> None:
     if not least <= rounds <= fam.tag_count:
         raise DomainError(f"rounds must be in {least}..{fam.tag_count}")
-
-
-def _eliminated(fam: HashFamily) -> list[int]:
-    """Keys that guess i accepts along the all-reject path, for every tag i.
-
-    Guess i forges (x_sub, t ^ i), accepted under the keys whose hash
-    difference on the canonical pair is i, so the first n guesses cover
-    sum(_eliminated(fam)[:n]) keys.
-    """
-    counts = Counter(_difference_column(fam, *_attack_pair(fam)))
-    return [counts[t] for t in fam.tags()]
 
 
 def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
@@ -268,14 +254,10 @@ def _posterior_entropy(fam: HashFamily, counts: list[int],
                        rounds: int) -> tuple[ExactEntropy, ExactEntropy]:
     nk = fam.key_count
     tc = fam.tag_count
-    computed = ExactEntropy()
-    # A transcript class of c keys has a uniform posterior: entropy log2(c).
-    # Classes of equal size are summed once, as entropy_of sums equal masses.
-    sizes = Counter(counts[:rounds])
-    sizes[nk - sum(counts[:rounds])] += 1
-    for c, mult in sizes.items():
-        if c:
-            computed = computed + ExactEntropy.log2(c).scaled(Fraction(c * mult, nk))
+    # k1 fixes its transcript class, so H(K1 | transcript) = log2|K| - H(class)
+    classes = counts[:rounds] + [nk - sum(counts[:rounds])]
+    computed = ExactEntropy.log2(nk) + entropy_of(
+        [Fraction(c, nk) for c in classes]).scaled(-1)
     kt = Fraction(nk, tc)
     formula = ExactEntropy.log2(kt)
     if rounds < tc:
@@ -328,11 +310,14 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i.  Each round
     of each trial is a cell of the budget; the key cache holds at most
     min(trials, |K|) entries, so those cells bound memory as well as time.
+    The expected rate is the exact share of keys the first `rounds` guesses
+    cover, counted over all |K| keys, which the budget holds separately.
     """
     _check_rounds(fam, rounds)
     if trials < 1:
         raise DomainError("need at least one trial")
     check_budget(trials * rounds, budget, "Monte Carlo attack")
+    check_budget(fam.key_count, budget, "exact expected rate of the Monte Carlo attack")
     getrandbits = random.Random(seed).getrandbits
     x, x_sub = _attack_pair(fam)
     kc, tc = fam.key_count, fam.tag_count
@@ -358,7 +343,7 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
                 hit = True
         hits += hit
     rate = Fraction(hits, trials)
-    expected = Fraction(rounds, tc)
+    expected = Fraction(sum(_eliminated(fam)[:rounds]), kc)
     p = float(rate)
     sig_hat = math.sqrt(max(p * (1 - p), 0.0) / trials)
     pe = float(expected)

@@ -23,10 +23,11 @@ so every tag vector carries the same weight on both sides and drops out:
 the distance is the share of keys k1 whose real outputs differ from the
 ideal ones.  In the ideal world no forgery is ever accepted, so these are
 the keys that one of the environment's first min(n, |T|) guesses covers,
-n = r*l: the same count as the attack's success probability, taken from
-attack._eliminated.  For a 1/|T|-bounded family it comes out at exactly
-min(1, r*l/|T|): the additive ledger is tight, up to the declared eps'
-terms, which the simulation treats as zero by taking the key source ideal.
+n = r*l: the attack's success count, read from measure._eliminated, so
+composing loads neither the attack nor the protocol.  For a 1/|T|-bounded
+family it comes out at exactly min(1, r*l/|T|): the additive ledger is
+tight, up to the declared eps' terms, which the simulation treats as zero by
+taking the key source ideal.
 
 The environment substitutes every round until its first success, then turns
 honest; in the ideal world it substitutes for as long as it has candidates.
@@ -36,10 +37,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .attack import _eliminated
-from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
+from .errors import (BudgetExceeded, DomainError, Record, VerificationFailed, DEFAULT_BUDGET,
+                     check_budget)
 from .families import HashFamily
-from .measure import measure_axu2
+from .measure import _eliminated, measure_axu2
 
 LIST_ELIMINATION = "list-elimination"
 IDENTITY = "identity"
@@ -117,12 +118,17 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
     defined over, kc * tc**n cells, though only 2 * kc tags are evaluated:
     that threshold is where `recmac compose --simulate` refuses, and
     scripts/composition_budget.py and the perfbench refusal job rest on it.
+    Once tag_bits * n reaches the budget's bit length, |T|^n alone is over
+    budget, and the refusal writes |K|*|T|^n without building it.
     """
     if env not in (LIST_ELIMINATION, IDENTITY):
         raise DomainError(f"unknown environment {env!r}")
     if qkd_rounds < 1 or auths_per_round < 1:
         raise DomainError("need at least one round of each kind")
     n = qkd_rounds * auths_per_round
+    if fam.tag_bits * n >= budget.bit_length():
+        raise BudgetExceeded(f"multi-round outcome space needs {fam.key_count}*{fam.tag_count}^{n}"
+                             f" cells, budget is {budget}")
     check_budget(fam.key_count * fam.tag_count ** n, budget, "multi-round outcome space")
     if len(fam.messages) < 2:
         raise DomainError("need two messages to substitute")

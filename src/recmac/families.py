@@ -335,10 +335,6 @@ class LiftedFamily(HashFamily):
         self.messages = base.messages
         self.xor_linear = False  # affine in the message, not linear
 
-    def split_key(self, k: int) -> tuple[int, int]:
-        self.check_key(k)
-        return divmod(k, self.tag_count)
-
     def _tag(self, k: int, x) -> int:
         k1, k2 = divmod(k, self.tag_count)
         return self.base._tag(k1, x) ^ k2

@@ -95,9 +95,6 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.order)
 
-    def add(self, a: int, b: int) -> int:
-        return self.check(a) ^ self.check(b)
-
     def _mul_raw(self, a: int, b: int) -> int:
         # Interleaved shift-and-reduce; keeps intermediates below 2^(m+1).
         p = 0

@@ -88,6 +88,24 @@ def _difference_column(fam: HashFamily, x1, x2) -> list[int]:
     return list(map(xor, _column(fam, x1), _column(fam, x2)))
 
 
+def _attack_pair(fam: HashFamily):
+    """The canonical pair (x, x_sub): the first two messages."""
+    if len(fam.messages) < 2:
+        raise DomainError("the attack needs at least two messages")
+    return fam.messages[0], fam.messages[1]
+
+
+def _eliminated(fam: HashFamily) -> list[int]:
+    """Per tag i, the number of keys with h_k(x) ^ h_k(x_sub) = i on the canonical pair.
+
+    Guess i of the attack is accepted under exactly these keys, so the first
+    n guesses cover sum(_eliminated(fam)[:n]) keys: the attack, its Monte
+    Carlo's expected rate and the composed distance all read that share.
+    """
+    counts = Counter(_difference_column(fam, *_attack_pair(fam)))
+    return [counts[t] for t in fam.tags()]
+
+
 def _tally(values, beat: int = -1) -> tuple[int, object, Counter]:
     """Count the values: the top count, the smallest value with it, the counts.
 

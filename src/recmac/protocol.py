@@ -81,10 +81,6 @@ class KeyStream:
     def bits_consumed(self) -> int:
         return self.cursor * self.tag_bits
 
-    @property
-    def pads_remaining(self) -> int:
-        return len(self.pads) - self.cursor
-
 
 def _byte_len(bits: int) -> int:
     return max(1, (bits + 7) // 8)

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recmac import attack
+from recmac import attack, measure
 from recmac import (
     DEFAULT_BUDGET,
     AuthKey,
@@ -115,8 +115,8 @@ def test_attack_rows_count_the_differences_once(build, monkeypatch):
     rows = fam.tag_count
     expected = [run_attack_exact(build(), l) for l in range(1, rows + 1)]
     calls = []
-    real = attack._difference_column
-    monkeypatch.setattr(attack, "_difference_column",
+    real = measure._difference_column
+    monkeypatch.setattr(measure, "_difference_column",
                         lambda *a: calls.append(a) or real(*a))
     assert attack._attack_reports(fam, rows, DEFAULT_BUDGET) == expected
     assert len(calls) == 1
@@ -329,6 +329,35 @@ def test_montecarlo_deterministic_and_calibrated():
         run_attack_montecarlo(fam, 1, trials=0)
 
 
+# differences 1, 2, 0, 3, 0 on the attack pair: guess 0 covers 2 of the 5 keys
+TABLE5 = TableFamily(["a", "b", "c"], [[0, 1, 2], [1, 3, 0], [2, 2, 1], [3, 0, 3], [1, 1, 2]])
+
+
+@pytest.mark.parametrize("fam, rounds", [(CounterexampleFamily(3), 1),
+                                         (CounterexampleFamily(3), 3),
+                                         (PolyFamily(2, 2), 2),
+                                         (TABLE5, 1)],
+                         ids=["counterexample-1", "counterexample-3", "poly-2", "table5-1"])
+def test_montecarlo_expects_the_exact_prefix_share(fam, rounds):
+    # the share of keys whose difference on the attack pair is below `rounds`,
+    # not rounds/|T|: on the counterexample every difference is nonzero, so
+    # guess 0 never wins
+    x, x_sub = fam.messages[0], fam.messages[1]
+    covered = sum(fam.tag(k, x) ^ fam.tag(k, x_sub) < rounds for k in fam.keys())
+    rep = run_attack_montecarlo(fam, rounds, trials=2000, seed=0)
+    assert rep.expected == F(covered, fam.key_count)
+    assert rep.within_3sigma
+    if isinstance(fam, CounterexampleFamily) and rounds == 1:
+        assert rep.expected == rep.rate == 0
+
+
+def test_montecarlo_budget_holds_the_exact_expected_rate():
+    fam = MulFamily(4)   # 16 keys
+    assert run_attack_montecarlo(fam, 1, trials=1, budget=16).expected == F(1, 16)
+    with pytest.raises(BudgetExceeded, match="exact expected rate .* needs 16 cells"):
+        run_attack_montecarlo(fam, 1, trials=1, budget=15)
+
+
 def test_montecarlo_matches_exact_engine_loosely():
     fam = MulFamily(3)
     exact = run_attack_exact(fam, 2).success_prob
@@ -347,9 +376,7 @@ def transcript_hits(fam, rounds, trials, seed):
 # 7 keys and a 5-key table: key counts that are not powers of two, so the k1
 # draw is rejected and redrawn as often as the pads are
 MC_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(3), CounterexampleFamily(3),
-               TableFamily(["a", "b", "c"],
-                           [[0, 1, 2], [1, 3, 0], [2, 2, 1], [3, 0, 3], [1, 1, 2]]),
-               build_table16()]
+               TABLE5, build_table16()]
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -108,6 +108,14 @@ def test_attack_montecarlo(tmp_path):
     assert doc["within_3sigma"] is True
 
 
+def test_attack_montecarlo_expects_the_exact_share_off_uniform_families(tmp_path):
+    # every difference of the counterexample is nonzero: guess 0 never wins
+    doc = run_json(tmp_path, "attack", "--family", "counterexample:m=3", "--rounds", "1",
+                   "--montecarlo", "--trials", "2000", "--format", "json")
+    assert doc["expected"] == "0/1" and doc["hits"] == 0
+    assert doc["within_3sigma"] is True
+
+
 def test_compose(tmp_path):
     doc = run_json(tmp_path, "compose", "--family", "mul:m=4", "--r", "3",
                    "--rounds", "2", "--qkd-eps", "1/100", "--format", "json")

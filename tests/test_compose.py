@@ -185,11 +185,45 @@ def test_simulation_budget_counts_the_outcome_space():
         simulate_composition(fam, 2, 6, budget=4 * 4 ** 12 - 1)
 
 
+def test_simulation_refuses_exactly_where_the_outcome_space_exceeds_the_budget():
+    # the refusal compares exponents before it counts kc * tc**n, and that
+    # moves no threshold: it refuses iff the exact count exceeds the budget
+    for fam in (MulFamily(1), MulFamily(2), ToeplitzFamily(2, 1)):
+        for n in range(1, 7):
+            cells = fam.key_count * fam.tag_count ** n
+            for budget in {0, 1, cells - 1, cells, cells + 1, 2 * cells}:
+                if cells > budget:
+                    with pytest.raises(BudgetExceeded, match="multi-round outcome space"):
+                        simulate_composition(fam, 1, n, budget=budget)
+                else:
+                    simulate_composition(fam, 1, n, budget=budget)
+
+
+def test_simulation_refusal_names_a_huge_count_without_building_it():
+    with pytest.raises(BudgetExceeded) as info:
+        simulate_composition(MulFamily(2), 1, 8000)
+    assert str(info.value) == \
+        "multi-round outcome space needs 4*4^8000 cells, budget is 16777216"
+    with pytest.raises(BudgetExceeded, match="needs 67108864 cells"):
+        simulate_composition(MulFamily(2), 2, 6)   # below the cut-over: the exact count
+
+
 def test_compose_simulate_over_budget_is_one_refusal_line(capsys):
     assert cli_main(["compose", "--family", "mul:m=2", "--r", "2", "--rounds", "6",
                      "--simulate"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("recmac: budget refusal: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rounds", ["2000", "8000"])
+def test_compose_simulate_far_over_budget_is_one_short_refusal_line(capsys, rounds):
+    # written out, kc * tc**n has 1200 digits at 2000 rounds, and at 8000 it
+    # is past int-to-str's 4300-digit limit
+    assert cli_main(["compose", "--family", "mul:m=2", "--r", "1", "--rounds", rounds,
+                     "--simulate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("recmac: budget refusal: ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_ledger_budget_counts_its_entries(capsys):

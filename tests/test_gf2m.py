@@ -117,8 +117,6 @@ def test_context_validation():
         f.mul(8, 1)
     with pytest.raises(DomainError):
         f.mul(1, -1)
-    with pytest.raises(DomainError):
-        f.add(1, 9)
 
 
 def test_alternate_modulus_supported():

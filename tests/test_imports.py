@@ -68,7 +68,7 @@ SUBCOMMANDS = [
      ["protocol"]),
     (["attack", "--family", "mul:m=2", "--rounds", "2"], ["attack", "protocol"]),
     (["compose", "--family", "mul:m=2", "--r", "1", "--rounds", "2", "--simulate"],
-     ["attack", "compose", "protocol"]),
+     ["compose"]),
     (["uc-distance", "--family", "mul:m=2", "--recycle"], ["dist", "ucsim"]),
     (["impersonate", "--family", "mul:m=2"], ["dist", "ucsim"]),
 ]

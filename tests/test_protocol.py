@@ -65,12 +65,10 @@ def test_masked_tag_is_uniform_over_pads():
 
 def test_key_stream():
     ks = KeyStream(5, (1, 3, 0), tag_bits=2)
-    assert ks.pads_remaining == 3
     assert ks.bits_consumed == 0
     assert ks.next_key() == AuthKey(5, 1)
     assert ks.next_key() == AuthKey(5, 3)
     assert ks.bits_consumed == 4
-    assert ks.pads_remaining == 1
     assert ks.next_key() == AuthKey(5, 0)
     assert ks.bits_consumed == 6
     with pytest.raises(PadExhausted):

@@ -1,6 +1,7 @@
 """Guards on the package source and the scripts."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import recmac
@@ -192,3 +193,60 @@ def test_value_classes_are_records_with_annotated_slots():
         "EnvStrategy"])
     assert {name: slots for name, (slots, annotated) in found.items()
             if slots != annotated} == {}
+
+
+# one elimination count: the canonical pair and its difference counts live in
+# measure, compose reads them there without loading attack (or protocol), and
+# the posterior entropy is entropy_of of the acceptance pattern, not a copy of
+# its grouping loop
+COMPOSE = Path(recmac.__file__).parent / "compose.py"
+
+
+def test_the_elimination_count_is_defined_once_in_measure():
+    defined = [(path.name, fn.name) for path in SOURCES
+               for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(fn, ast.FunctionDef) and fn.name in ("_eliminated", "_attack_pair")]
+    assert sorted(defined) == [("measure.py", "_attack_pair"), ("measure.py", "_eliminated")]
+
+
+def test_compose_imports_nothing_from_attack():
+    imported = set()
+    for node in ast.walk(ast.parse(COMPOSE.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported |= {f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert imported and not {m for m in imported
+                             if "attack" in m.split(".") or "protocol" in m.split(".")}
+
+
+def test_posterior_entropy_reads_entropy_of_and_builds_no_counter():
+    found = calls_by_function(ATTACK)
+    assert "entropy_of" in found["_posterior_entropy"]
+    assert "Counter" not in found["_posterior_entropy"]
+
+
+def tracer_targets():
+    """The (module, attribute) pairs perfbench/tracer.py wraps, read from its TARGETS."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(ast.literal_eval(t.elts[1]), ast.literal_eval(t.elts[2]))
+                    for t in node.value.elts]
+    raise LookupError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_resolves():
+    # the tracer looks each one up in its owner's __dict__
+    targets = tracer_targets()
+    assert len(targets) >= 30
+    missing = []
+    for module, attr in targets:
+        owner = importlib.import_module(module) if module.startswith("recmac.") else None
+        cls_name, _, name = attr.rpartition(".")
+        if owner is not None and cls_name:
+            owner = vars(owner).get(cls_name)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module}:{attr}")
+    assert missing == []
