@@ -125,12 +125,16 @@ def cmd_epsilon(args, fam):
 def cmd_uc_distance(args, fam):
     from . import ucsim
 
-    eps = (measure_axu2 if args.recycle else measure_asu2)(fam, budget=args.budget).epsilon
+    measure = measure_axu2 if args.recycle else measure_asu2
     if args.identity:
+        # one run may count fewer cells than the measure, so the measure's check goes first
+        eps = measure(fam, budget=args.budget).epsilon
         env = ucsim.EnvStrategy.substitute(fam.messages[0], {})
         d = ucsim.uc_distance(fam, env, recycle=args.recycle, budget=args.budget)
     else:
+        # the search counts more cells than either measure, so a refused one measures nothing
         d, env = ucsim.worst_case_distance(fam, recycle=args.recycle, budget=args.budget)
+        eps = measure(fam, budget=args.budget).epsilon
     return _one_row({
         "family": fam.descriptor(),
         "mode": "recycling" if args.recycle else "standard",

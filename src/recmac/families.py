@@ -28,7 +28,8 @@ big-endian, m bits each.
 Mul, Poly and Toeplitz are XOR-linear in the message: h_k(x1) ^ h_k(x2) =
 h_k(x1 ^ x2).  The `xor_linear` flag records that structural fact; measure.py
 uses it to collapse pair enumerations to difference enumerations without
-giving up exactness.
+giving up exactness, and reads the strong bound of a linear or a lifted
+family from that difference walk.
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ class ToeplitzFamily(HashFamily):
 
     The key is an (n+m-1)-bit integer s; entry T[i][j] = bit i-j+n-1 of s,
     so every diagonal is constant.  Message bit j and tag bit i are the
-    corresponding low-order bits.
+    corresponding low-order bits.  Column j of T_k is therefore the key
+    window (s >> (n-1-j)) mod 2^m, and the tag is the XOR of the windows
+    of x's set bits.
     """
 
     def __init__(self, n: int, m: int):
@@ -209,12 +212,14 @@ class ToeplitzFamily(HashFamily):
         self.xor_linear = True
 
     def _tag(self, k: int, x: int) -> int:
-        # row i is key bits i+n-1 .. i, so it meets x's n bits in reverse order
-        xr = int(format(x, f"0{self.n}b")[::-1], 2)
         t = 0
-        for i in range(self.tag_bits):
-            t |= (((k >> i) & xr).bit_count() & 1) << i
-        return t
+        shift = self.n - 1
+        while x:
+            if x & 1:
+                t ^= k >> shift
+            x >>= 1
+            shift -= 1
+        return t & ((1 << self.tag_bits) - 1)
 
     def descriptor(self) -> str:
         return f"toeplitz:n={self.n},m={self.tag_bits}"

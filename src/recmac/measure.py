@@ -17,7 +17,7 @@ it to be uniform; two-point bounds are the security-relevant quantity.
 
 Everything is counted over tag columns, the tags of one message (or one
 difference) under every key, with C-level counting (Counter over a map or
-zip of two columns) instead of a Python loop over keys.  The pair measures
+zip of two columns) instead of a Python loop over keys.  The pair scans
 read their columns from the family's tag table, which they build only after
 their own budget check has admitted the call; the table has K * |X| cells,
 at most twice the K * |X| * (|X| - 1) / 2 cells the check counts.
@@ -40,6 +40,32 @@ and O(K * message_bits) memory, never the K * |X| table.  The Gray order is
 not message order, so among differences with equal counts the walk keeps
 the smallest d, which is the one the message-order scan would report.
 
+The strong bound never exceeds the XOR bound: keys that agree on both tags,
+h_k(x1) = t1 and h_k(x2) = t2, agree on h_k(x1) ^ h_k(x2) = t1 ^ t2, so no
+(t1, t2) cell of a pair holds more keys than the pair's top difference cell,
+and no pair beats K * eps_axu2.  On two kinds of family a cell meets that
+ceiling at a pair known in advance, and measure_asu2 reads it from
+measure_axu2's witness (x1, x2, t) instead of scanning the tag table:
+
+  * XOR-linear families over a full message space.  h_k(x0) = 0 under every
+    key (the walk checks it), so the cells (0, t) of the pair (x0, x_d)
+    hold exactly the keys with h_k(d) = t.  Pairs (x0, x_d) come first in
+    pair order, so the first pair to reach the ceiling is (x0, x_d*) with
+    tags (0, t*): the axu2 witness.
+  * Lifted families g_(k1,k2)(x) = h_k1(x) ^ k2.  Cell (t1, t2) holds one
+    key (k1, k2) per k1 with h_k1(x1) ^ h_k1(x2) = t1 ^ t2, k2 being forced
+    to h_k1(x1) ^ t1.  So every pair's top cell count is the base's top
+    difference count for that pair, the first maximum is the base axu2
+    witness's pair with tags (0, t), and the scaled bound |T| * c / (K |T|)
+    is eps_axu2 of the base, whatever the base is.
+
+Either way the witness cell is then counted again on the family's own
+columns, 2 K tag evaluations, and must hold K * eps_axu2 keys (K of the
+base for a lift), or the call raises VerificationFailed: a family flagged
+linear whose basis columns do not add up is caught there.  The axu2 work
+is never more than the asu2 budget check already admitted, and no tag
+table is built.
+
 Enumerations refuse to start if they would exceed the cell budget; sampling
 is a separate entry point (sample_axu2) that must be requested explicitly,
 is held to the same budget, and reports a certified lower bound with its
@@ -56,7 +82,7 @@ from itertools import repeat
 from operator import xor
 
 from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
-from .families import HashFamily
+from .families import HashFamily, LiftedFamily
 
 
 class Measurement(Record):
@@ -176,12 +202,21 @@ def _axu2(fam: HashFamily) -> Measurement:
 
 
 def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
-    """Exact two-point strong bound, scaled by |T|, with witness (x1, x2, t1, t2)."""
+    """Exact two-point strong bound, scaled by |T|, with witness (x1, x2, t1, t2).
+
+    On XOR-linear and lifted families the bound and its witness are read
+    from measure_axu2 (of the base, for a lift) and the witness cell is
+    counted again on this family's columns, as the module docstring proves;
+    every other family scans the column pairs of its tag table.  The budget
+    check counts the scan's K * |X| * (|X| - 1) / 2 cells either way.
+    """
     msgs = fam.messages
     nx = len(msgs)
     if nx < 2:
         return Measurement("asu2", Fraction(0), None)
     check_budget(fam.key_count * nx * (nx - 1) // 2, budget, f"exact asu2 for {fam.descriptor()}")
+    if _linear_ok(fam) or isinstance(fam, LiftedFamily):
+        return _asu2_from_axu2(fam, budget)
     cols = list(zip(*fam._tag_table()))
     best = -1
     for i, x1 in enumerate(msgs):
@@ -190,6 +225,19 @@ def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
             if t is not None:
                 best, witness = c, (x1, msgs[j], *t)
     return Measurement("asu2", Fraction(fam.tag_count * best, fam.key_count), witness)
+
+
+def _asu2_from_axu2(fam: HashFamily, budget: int) -> Measurement:
+    """The strong bound at the axu2 witness, on a linear or a lifted family."""
+    src = fam.base if isinstance(fam, LiftedFamily) else fam
+    axu2 = measure_axu2(src, budget)
+    x1, x2, t = axu2.witness
+    c = list(zip(_column(fam, x1), _column(fam, x2))).count((0, t))
+    if c != axu2.epsilon * src.key_count:
+        raise VerificationFailed(
+            f"asu2 witness cell ({x1!r}, {x2!r}, 0, {t}) of {fam.descriptor()} holds {c} keys, "
+            f"not the {axu2.epsilon * src.key_count} of its axu2 witness")
+    return Measurement("asu2", Fraction(fam.tag_count * c, fam.key_count), (x1, x2, 0, t))
 
 
 def tag_marginal(fam: HashFamily, x) -> dict[int, Fraction]:

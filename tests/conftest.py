@@ -61,6 +61,18 @@ def irreducible_oracle(mask: int, m: int) -> bool:
     return True
 
 
+# -- family evaluation ----------------------------------------------------------
+
+
+def toeplitz_row_parity_oracle(n: int, m: int, k: int, x: int) -> int:
+    """T_k x by row parities: row i is key bits i+n-1 .. i, met by x's bits reversed."""
+    xr = int(format(x, f"0{n}b")[::-1], 2)
+    t = 0
+    for i in range(m):
+        t |= (((k >> i) & xr).bit_count() & 1) << i
+    return t
+
+
 # -- collision-measure oracles ------------------------------------------------
 
 

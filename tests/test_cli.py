@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recmac import parse_family
 from recmac.cli import main
 
 
@@ -249,6 +250,42 @@ def test_montecarlo_and_sampling_refuse_over_budget(capsys):
     assert run_main("epsilon", "--family", "mul:m=3", "--sample", "--pairs", "10",
                     "--budget", "79") == 1
     assert one_refusal_line(capsys)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The families the CLI parses, in order."""
+    import recmac.cli as cli
+
+    made = []
+
+    def parse(desc):
+        made.append(parse_family(desc))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "parse_family", parse)
+    return made
+
+
+@pytest.mark.parametrize("mode", [["--recycle"], []], ids=["recycle", "standard"])
+def test_refused_uc_distance_measures_no_epsilon(monkeypatch, capsys, parsed, mode):
+    import recmac.cli as cli
+
+    def measured(*args, **kwargs):
+        raise AssertionError("epsilon measured before the search was admitted")
+
+    monkeypatch.setattr(cli, "measure_axu2", measured)
+    monkeypatch.setattr(cli, "measure_asu2", measured)
+    assert run_main("uc-distance", "--family", "toeplitz:n=6,m=4", *mode) == 1
+    assert "worst-case search" in capsys.readouterr().err
+    assert parsed[0]._axu2 is None and parsed[0]._table is None
+
+
+def test_refused_identity_uc_distance_builds_no_table(capsys, parsed):
+    # the identity run would pass the budget and build mul:m=10's 2^20-cell table
+    assert run_main("uc-distance", "--family", "mul:m=10", "--identity") == 1
+    assert "exact asu2" in capsys.readouterr().err
+    assert parsed[0]._table is None
 
 
 @pytest.mark.parametrize("table", [[["a", 1], [1, 0]], [[True, 1], [1, 0]]],

@@ -18,7 +18,7 @@ from recmac import (
     parse_family,
 )
 
-from conftest import gf_mul_oracle
+from conftest import gf_mul_oracle, toeplitz_row_parity_oracle
 
 
 def test_mul_frozen_value():
@@ -69,6 +69,14 @@ def test_toeplitz_matches_matrix_oracle():
                     if sum(mat[i][j] * xbits[j] for j in range(n)) % 2:
                         t |= 1 << i
                 assert fam.tag(k, x) == t
+
+
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (3, 5), (4, 4), (5, 1), (6, 6)])
+def test_toeplitz_windows_match_row_parities(n, m):
+    fam = ToeplitzFamily(n, m)
+    for k in fam.keys():
+        for x in fam.messages:
+            assert fam._tag(k, x) == toeplitz_row_parity_oracle(n, m, k, x)
 
 
 def test_counterexample_values():

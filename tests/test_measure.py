@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import recmac
 from recmac import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CounterexampleFamily,
     DomainError,
@@ -97,10 +98,12 @@ def test_constant_rows_are_maximally_bad():
 
 
 def test_lift_asu2_equals_base_axu2():
+    # the library reads the base's axu2 by construction, so hold both to the oracle too
     for base in (MulFamily(2), MulFamily(3), ToeplitzFamily(3, 2),
                  CounterexampleFamily(2)):
-        assert measure_asu2(lift_to_asu2(base)).epsilon == \
-            measure_axu2(base).epsilon
+        lifted = lift_to_asu2(base)
+        assert measure_asu2(lifted).epsilon == measure_axu2(base).epsilon \
+            == asu2_oracle(lifted)
 
 
 def test_axu2_witness_attains_epsilon():
@@ -256,12 +259,17 @@ def test_witnesses_on_tied_tables(fam):
     (measure_axu2, lambda: TableFamily([0, 1, 2], [[0, 1, 1], [1, 0, 0]]), 2 * 3 * 2 // 2),
     (measure_asu2, lambda: MulFamily(3), 8 * 8 * 7 // 2),
     (measure_asu2, lambda: PolyFamily(2, 2), 4 * 16 * 15 // 2),
-], ids=["axu2-mul", "axu2-toeplitz", "axu2-lift", "axu2-table", "asu2-mul", "asu2-poly"])
+    (measure_asu2, lambda: ToeplitzFamily(3, 2), 16 * 8 * 7 // 2),
+    (measure_asu2, lambda: lift_to_asu2(MulFamily(2)), 16 * 4 * 3 // 2),
+], ids=["axu2-mul", "axu2-toeplitz", "axu2-lift", "axu2-table", "asu2-mul", "asu2-poly",
+        "asu2-toeplitz", "asu2-lift"])
 def test_measure_budget_threshold_builds_nothing_when_refused(measure, build, work):
     fam = build()
+    base = getattr(fam, "base", fam)
     with pytest.raises(BudgetExceeded):
         measure(fam, budget=work - 1)
     assert fam._table is None and fam._axu2 is None
+    assert base._table is None and base._axu2 is None
     assert measure(fam, budget=work) == measure(build())
 
 
@@ -290,6 +298,87 @@ def test_difference_walk_checks_the_zero_column():
     assert axu2_oracle(fam) == 1   # the walk from an all-zero column would say 1/4
     with pytest.raises(VerificationFailed):
         measure_axu2(fam)
+    with pytest.raises(VerificationFailed):   # the strong bound reads the same walk
+        measure_asu2(fam)
+
+
+class LyingLinear(MulFamily):
+    """Flagged linear with h_k(1) = h_k(2) = k, so its basis columns say d = 3 is constant.
+
+    The true h_k(3) = 3 * k in GF(4) is not the XOR of those columns.
+    """
+
+    def _tag(self, k, x):
+        return k if x in (1, 2) else self.field.mul(k, x)
+
+
+def test_asu2_recounts_the_witness_cell():
+    fam = LyingLinear(2)
+    assert measure_axu2(fam).witness == (0, 3, 0)   # the walk believes the basis
+    assert asu2_oracle(fam) == 1                     # no cell holds more than one key
+    with pytest.raises(VerificationFailed, match="holds 1 keys"):
+        measure_asu2(fam)
+
+
+class LinearTable(TableFamily):
+    """A tag table built XOR-linear from basis columns, and flagged so."""
+
+    xor_linear = True
+
+
+@st.composite
+def linear_tables(draw):
+    """LinearTable over 1-3 message bits, at most 6 keys and 1-2-bit tags."""
+    bits = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    kc = draw(st.integers(1, 6))
+    basis = draw(st.lists(st.lists(st.integers(0, (1 << m) - 1), min_size=bits, max_size=bits),
+                          min_size=kc, max_size=kc))
+    rows = []
+    for cols in basis:
+        row = []
+        for x in range(1 << bits):
+            t = 0
+            for b, col in enumerate(cols):
+                if x >> b & 1:
+                    t ^= col
+            row.append(t)
+        rows.append(row)
+    return LinearTable(list(range(1 << bits)), rows, m=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=linear_tables())
+def test_asu2_closed_form_on_linear_tables(fam):
+    assert as_pair(measure_asu2(fam)) == asu2_witness_oracle(fam)
+    assert fam._table is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(base=tied_tables())
+def test_asu2_closed_form_on_lifted_tables(base):
+    fam = lift_to_asu2(base)
+    assert as_pair(measure_asu2(fam)) == asu2_witness_oracle(fam)
+    assert fam._table is None
+
+
+@pytest.mark.parametrize("build, budget, epsilon", [
+    (lambda: PolyFamily(4, 2), DEFAULT_BUDGET, F(2)),          # 16 * 1/8
+    (lambda: MulFamily(10), 1 << 30, F(1)),                    # 1024 * 1024 * 1023 / 2 cells
+    (lambda: lift_to_asu2(MulFamily(6)), DEFAULT_BUDGET, F(1, 64)),
+], ids=["poly:m=4,L=2", "mul:m=10", "lift(mul:m=6)"])
+def test_asu2_closed_form_builds_no_tag_table(build, budget, epsilon):
+    fam = build()
+    base = getattr(fam, "base", fam)
+    tracemalloc.start()
+    try:
+        meas = measure_asu2(fam, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert meas.epsilon == epsilon
+    assert fam._table is None and base._table is None
+    assert peak < 1 << 20   # mul:m=10's table would take about 8 MB, lift(mul:m=6)'s 2 MB
 
 
 def test_epsilon_sweep_script_runs_under_O():
