@@ -11,28 +11,20 @@ Usage: python3 scripts/key_leak_curve.py [--family DESC] [--format csv]
 import argparse
 import csv
 import sys
-from fractions import Fraction
 
-from recmac import (
-    VerificationFailed,
-    parse_family,
-    posterior_entropy,
-    run_attack_exact,
-    success_recurrence,
-)
+from recmac import DEFAULT_BUDGET, VerificationFailed, parse_family
+from recmac.attack import _attack_reports
 
 
 def curve(fam):
-    tc = fam.tag_count
-    rec = success_recurrence(fam, tc - 1)
+    """(rounds, success, next-round conditional, entropy) for 0..|T| rounds, from one pass."""
+    reports = _attack_reports(fam, fam.tag_count, DEFAULT_BUDGET, first=0)
     rows = []
-    for rounds in range(tc + 1):
-        computed, formula = posterior_entropy(fam, rounds)
-        if computed != formula:
-            raise VerificationFailed(f"rounds={rounds}: entropy differs from its closed form")
-        success = run_attack_exact(fam, rounds).success_prob if rounds else Fraction(0)
-        cond = rec[rounds] if rounds < tc else None
-        rows.append((rounds, success, cond, computed))
+    for rep, nxt in zip(reports, [*reports[1:], None]):
+        if rep.entropy_bits != rep.entropy_formula_bits:
+            raise VerificationFailed(f"rounds={rep.rounds}: entropy differs from its closed form")
+        cond = None if nxt is None else nxt.per_round_conditional[-1]
+        rows.append((rep.rounds, rep.success_prob, cond, rep.entropy_bits))
     return rows
 
 

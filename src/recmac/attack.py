@@ -7,14 +7,15 @@ when c_i equals the key's hash difference c(k1) = h_{k1}(x) ^ h_{k1}(x_sub);
 a rejection eliminates one candidate for good.  The one-time pads cancel out
 of every acceptance event, so the exact engine enumerates k1 only and
 integrates the pads away analytically: it reads measure._eliminated, the
-number of keys at each value of c(k1).  The Monte Carlo engine keeps the pads
+number of keys at each value of c(k1), and builds every round's report in
+one pass over those counts.  The Monte Carlo engine keeps the pads
 explicit: per trial it draws k1 and one pad per round, and plays the rounds
 on the masked tags; h_{k1} is evaluated on x and x_sub once per distinct key
 drawn, and the expected rate is the exact share from the same count.  It
 draws what sample_transcript draws, bit for bit as randrange would,
 straight from getrandbits.  sample_transcript itself calls randrange
 and runs every round through authenticate and verify, and the tests hold
-the two to the same hit count on every seed.
+the two to the same hit count on every seed; it alone imports protocol.
 
 For a family whose two-point XOR bound is exactly 1/|T| the difference
 c(k1) is uniform over the tag space, which pins everything down:
@@ -41,12 +42,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
 from .measure import _attack_pair, _eliminated, measure_axu2
-from .protocol import KeyStream, TaggedMessage, authenticate, verify
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -195,44 +195,53 @@ def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
     return _eliminated(fam)
 
 
-def _conditionals(counts: list[int], nk: int, rounds: int) -> list[Fraction]:
-    """P(success in round i+1 | failure through round i) for i < rounds."""
-    out = []
-    remaining = nk
-    for c in counts[:rounds]:
-        out.append(Fraction(c, remaining))
-        remaining -= c
-    return out
+def _reports(fam: HashFamily, counts: list[int], last: int,
+             first: int = 0) -> Iterator[AttackReport]:
+    """The reports after rounds first..last, from one pass over the counts.
+
+    The pass keeps the keys covered (so the keys left, the next conditional's
+    denominator) and the entropy of the classes settled so far, one entropy_of
+    term a round.  k1 fixes its transcript class, so H(K1 | transcript) is
+    log2|K| less that sum and the all-reject remainder's term.  Rounds before
+    `first` build no report.
+    """
+    x, x_sub = _attack_pair(fam)
+    nk, tc = fam.key_count, fam.tag_count
+    log_nk, log_kt = ExactEntropy.log2(nk), ExactEntropy.log2(Fraction(nk, tc))
+    covered, conditionals, settled = 0, [], ExactEntropy()
+    for rounds in range(last + 1):
+        if rounds:
+            c = counts[rounds - 1]
+            conditionals.append(Fraction(c, nk - covered))
+            covered += c
+            settled = settled + entropy_of([Fraction(c, nk)])
+        if rounds < first:
+            continue
+        computed = log_nk + (settled + entropy_of([Fraction(nk - covered, nk)])).scaled(-1)
+        formula = log_kt
+        if rounds < tc:
+            formula = formula + ExactEntropy.log2(tc - rounds).scaled(1 - Fraction(rounds, tc))
+        yield AttackReport(rounds, x, x_sub, Fraction(covered, nk), Fraction(rounds, tc),
+                           tuple(conditionals), computed, formula)
 
 
 def run_attack_exact(fam: HashFamily, rounds: int,
                      budget: int = DEFAULT_BUDGET) -> AttackReport:
     """Exact success and leakage accounting; pads integrated out."""
     _check_rounds(fam, rounds)
-    return _attack_report(fam, _difference_counts(fam, budget), rounds)
+    return next(_reports(fam, _difference_counts(fam, budget), rounds, rounds))
 
 
-def _attack_reports(fam: HashFamily, max_rounds: int, budget: int) -> list[AttackReport]:
-    """run_attack_exact for rounds 1..max_rounds, counting the differences once."""
+def _attack_reports(fam: HashFamily, max_rounds: int, budget: int,
+                    first: int = 1) -> list[AttackReport]:
+    """run_attack_exact for rounds first..max_rounds, from one pass.
+
+    Row R holds R conditionals; the budget counts the rows' R(R+1)/2 first.
+    """
     _check_rounds(fam, max_rounds)
-    counts = _difference_counts(fam, budget)
-    return [_attack_report(fam, counts, rounds) for rounds in range(1, max_rounds + 1)]
-
-
-def _attack_report(fam: HashFamily, counts: list[int], rounds: int) -> AttackReport:
-    x, xp = _attack_pair(fam)
-    nk = fam.key_count
-    computed, formula = _posterior_entropy(fam, counts, rounds)
-    return AttackReport(
-        rounds=rounds,
-        x=x,
-        x_sub=xp,
-        success_prob=Fraction(sum(counts[:rounds]), nk),
-        success_formula=Fraction(rounds, fam.tag_count),
-        per_round_conditional=tuple(_conditionals(counts, nk, rounds)),
-        entropy_bits=computed,
-        entropy_formula_bits=formula,
-    )
+    check_budget(max_rounds * (max_rounds + 1) // 2, budget,
+                 f"exact attack rows for {fam.descriptor()}")
+    return list(_reports(fam, _difference_counts(fam, budget), max_rounds, first))
 
 
 def posterior_entropy(fam: HashFamily, rounds: int,
@@ -247,22 +256,8 @@ def posterior_entropy(fam: HashFamily, rounds: int,
     probabilities; the formula is exactly the two-branch closed form.
     """
     _check_rounds(fam, rounds, least=0)
-    return _posterior_entropy(fam, _difference_counts(fam, budget), rounds)
-
-
-def _posterior_entropy(fam: HashFamily, counts: list[int],
-                       rounds: int) -> tuple[ExactEntropy, ExactEntropy]:
-    nk = fam.key_count
-    tc = fam.tag_count
-    # k1 fixes its transcript class, so H(K1 | transcript) = log2|K| - H(class)
-    classes = counts[:rounds] + [nk - sum(counts[:rounds])]
-    computed = ExactEntropy.log2(nk) + entropy_of(
-        [Fraction(c, nk) for c in classes]).scaled(-1)
-    kt = Fraction(nk, tc)
-    formula = ExactEntropy.log2(kt)
-    if rounds < tc:
-        formula = formula + ExactEntropy.log2(tc - rounds).scaled(1 - Fraction(rounds, tc))
-    return computed, formula
+    report = next(_reports(fam, _difference_counts(fam, budget), rounds, rounds))
+    return report.entropy_bits, report.entropy_formula_bits
 
 
 def success_recurrence(fam: HashFamily, l_max: int,
@@ -274,11 +269,14 @@ def success_recurrence(fam: HashFamily, l_max: int,
     """
     if not 0 <= l_max <= fam.tag_count - 1:
         raise DomainError(f"l_max must be in 0..{fam.tag_count - 1}")
-    return _conditionals(_difference_counts(fam, budget), fam.key_count, l_max + 1)
+    report = next(_reports(fam, _difference_counts(fam, budget), l_max + 1, l_max + 1))
+    return list(report.per_round_conditional)
 
 
 def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Transcript:
     """One honestly simulated attack run: fresh pads, real verify calls."""
+    from .protocol import KeyStream, TaggedMessage, authenticate, verify
+
     x, x_sub = _attack_pair(fam)
     k1 = rng.randrange(fam.key_count)
     pads = tuple(rng.randrange(fam.tag_count) for _ in range(rounds))

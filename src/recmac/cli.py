@@ -35,7 +35,6 @@ from .measure import measure_asu2, measure_axu2, sample_axu2
 
 
 def frac_str(f: Fraction) -> str:
-    f = Fraction(f)
     return f"{f.numerator}/{f.denominator}"
 
 
@@ -192,16 +191,19 @@ def cmd_attack(args, fam):
         }
         header = ["rounds", "trials", "hits", "rate", "expected"]
         return doc, header + ["lo", "hi"], [[doc[h] for h in header] + doc["interval"]]
+    reports = _attack_reports(fam, args.rounds, budget=args.budget)
+    # row R's conditionals are the first R of the last row's: each is formatted once
+    conditionals = [frac_str(c) for c in reports[-1].per_round_conditional]
     rows = [
         {
             "rounds": r.rounds,
             "success_exact": frac_str(r.success_prob),
             "success_formula": frac_str(r.success_formula),
-            "per_round_conditional": [frac_str(c) for c in r.per_round_conditional],
+            "per_round_conditional": conditionals[:r.rounds],
             "entropy_exact": float(r.entropy_bits),
             "entropy_formula": float(r.entropy_formula_bits),
         }
-        for r in _attack_reports(fam, args.rounds, budget=args.budget)
+        for r in reports
     ]
     header = ["rounds", "success_exact", "success_formula", "entropy_exact", "entropy_formula"]
     return {"family": fam.descriptor(), "rows": rows}, header, \

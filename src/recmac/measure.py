@@ -62,9 +62,8 @@ measure_axu2's witness (x1, x2, t) instead of scanning the tag table:
 Either way the witness cell is then counted again on the family's own
 columns, 2 K tag evaluations, and must hold K * eps_axu2 keys (K of the
 base for a lift), or the call raises VerificationFailed: a family flagged
-linear whose basis columns do not add up is caught there.  The axu2 work
-is never more than the asu2 budget check already admitted, and no tag
-table is built.
+linear whose basis columns do not add up is caught there.  The budget check
+counts those cells, the axu2 work plus 2 K, and no tag table is built.
 
 Enumerations refuse to start if they would exceed the cell budget; sampling
 is a separate entry point (sample_axu2) that must be requested explicitly,
@@ -182,12 +181,14 @@ def _axu2(fam: HashFamily) -> Measurement:
                                      f"under every key of {fam.descriptor()}")
         basis = [_column(fam, msgs[1 << b]) for b in range(bits)]
         col = [0] * fam.key_count
-        best = -1
+        best, best_d = -1, 1 << bits
         for i in range(1, 1 << bits):
             col = list(map(xor, col, basis[(i & -i).bit_length() - 1]))
-            c, t, _ = _tally(col)
             d = i ^ (i >> 1)
-            if c > best or (c == best and d < best_d):
+            # the top tag is looked for only if d can be the witness: a smaller d
+            # wins a tie, a larger one must beat the best count
+            c, t, _ = _tally(col, best - (d < best_d))
+            if t is not None:
                 best, best_d, best_t = c, d, t
         witness = (msgs[0], msgs[best_d], best_t)
     else:
@@ -207,16 +208,27 @@ def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     On XOR-linear and lifted families the bound and its witness are read
     from measure_axu2 (of the base, for a lift) and the witness cell is
     counted again on this family's columns, as the module docstring proves;
-    every other family scans the column pairs of its tag table.  The budget
-    check counts the scan's K * |X| * (|X| - 1) / 2 cells either way.
+    the budget check counts that axu2 work plus the recount's 2 K cells.
+    Every other family scans the column pairs of its tag table, and the
+    check counts the scan's K * |X| * (|X| - 1) / 2 cells.
     """
     msgs = fam.messages
     nx = len(msgs)
     if nx < 2:
         return Measurement("asu2", Fraction(0), None)
-    check_budget(fam.key_count * nx * (nx - 1) // 2, budget, f"exact asu2 for {fam.descriptor()}")
+    what = f"exact asu2 for {fam.descriptor()}"
     if _linear_ok(fam) or isinstance(fam, LiftedFamily):
-        return _asu2_from_axu2(fam, budget)
+        src = fam.base if isinstance(fam, LiftedFamily) else fam
+        check_budget(_axu2_work(src) + 2 * fam.key_count, budget, what)
+        axu2 = measure_axu2(src, budget)
+        x1, x2, t = axu2.witness
+        c = list(zip(_column(fam, x1), _column(fam, x2))).count((0, t))
+        if c != axu2.epsilon * src.key_count:
+            raise VerificationFailed(
+                f"asu2 witness cell ({x1!r}, {x2!r}, 0, {t}) of {fam.descriptor()} holds {c} "
+                f"keys, not the {axu2.epsilon * src.key_count} of its axu2 witness")
+        return Measurement("asu2", Fraction(fam.tag_count * c, fam.key_count), (x1, x2, 0, t))
+    check_budget(fam.key_count * nx * (nx - 1) // 2, budget, what)
     cols = list(zip(*fam._tag_table()))
     best = -1
     for i, x1 in enumerate(msgs):
@@ -225,19 +237,6 @@ def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
             if t is not None:
                 best, witness = c, (x1, msgs[j], *t)
     return Measurement("asu2", Fraction(fam.tag_count * best, fam.key_count), witness)
-
-
-def _asu2_from_axu2(fam: HashFamily, budget: int) -> Measurement:
-    """The strong bound at the axu2 witness, on a linear or a lifted family."""
-    src = fam.base if isinstance(fam, LiftedFamily) else fam
-    axu2 = measure_axu2(src, budget)
-    x1, x2, t = axu2.witness
-    c = list(zip(_column(fam, x1), _column(fam, x2))).count((0, t))
-    if c != axu2.epsilon * src.key_count:
-        raise VerificationFailed(
-            f"asu2 witness cell ({x1!r}, {x2!r}, 0, {t}) of {fam.descriptor()} holds {c} keys, "
-            f"not the {axu2.epsilon * src.key_count} of its axu2 witness")
-    return Measurement("asu2", Fraction(fam.tag_count * c, fam.key_count), (x1, x2, 0, t))
 
 
 def tag_marginal(fam: HashFamily, x) -> dict[int, Fraction]:

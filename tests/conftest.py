@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 
 from recmac import (
-    LIST_ELIMINATION, Dist, EnvStrategy, HashFamily, MulFamily, TableFamily, WcProtocol,
-    lift_to_asu2, outcome_sort_key,
+    LIST_ELIMINATION, AttackReport, Dist, EnvStrategy, ExactEntropy, HashFamily, MulFamily,
+    TableFamily, WcProtocol, entropy_of, lift_to_asu2, outcome_sort_key,
 )
 
 
@@ -409,6 +409,47 @@ def composition_tv_oracle(fam, r: int, l: int, env: str) -> Fraction:
     for cell in real.keys() | ideal.keys():
         diff += abs(real.get(cell, 0) - ideal.get(cell, 0))
     return Fraction(diff, 2 * fam.key_count * tc ** n)
+
+
+# -- the key-elimination attack ------------------------------------------------
+
+
+def difference_counts_oracle(fam) -> list[int]:
+    """Per tag t, the keys with h_k(x) ^ h_k(x_sub) = t on the first two messages."""
+    x, x_sub = fam.messages[0], fam.messages[1]
+    diffs = Counter(fam.tag(k, x) ^ fam.tag(k, x_sub) for k in fam.keys())
+    return [diffs[t] for t in fam.tags()]
+
+
+def attack_report_oracle(fam, counts: list[int], rounds: int) -> AttackReport:
+    """The attack report after `rounds` rounds, rebuilt from scratch from the counts.
+
+    Every field is recomputed from counts[:rounds]: the conditionals one by one,
+    and the entropy as log2|K| - H(class) over the guessed classes and the
+    all-reject remainder.  fam needs key_count, tag_count and messages only.
+    """
+    nk, tc = fam.key_count, fam.tag_count
+    conditionals = []
+    remaining = nk
+    for c in counts[:rounds]:
+        conditionals.append(Fraction(c, remaining))
+        remaining -= c
+    classes = counts[:rounds] + [nk - sum(counts[:rounds])]
+    computed = ExactEntropy.log2(nk) + entropy_of(
+        [Fraction(c, nk) for c in classes]).scaled(-1)
+    formula = ExactEntropy.log2(Fraction(nk, tc))
+    if rounds < tc:
+        formula = formula + ExactEntropy.log2(tc - rounds).scaled(1 - Fraction(rounds, tc))
+    return AttackReport(
+        rounds=rounds,
+        x=fam.messages[0],
+        x_sub=fam.messages[1],
+        success_prob=Fraction(sum(counts[:rounds]), nk),
+        success_formula=Fraction(rounds, tc),
+        per_round_conditional=tuple(conditionals),
+        entropy_bits=computed,
+        entropy_formula_bits=formula,
+    )
 
 
 # -- frozen value classes, held against frozen dataclasses ----------------------

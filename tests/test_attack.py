@@ -1,14 +1,21 @@
 """Key-elimination attack accounting, held against honest full enumeration."""
 
+import csv
+import io
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import recmac
 from recmac import attack, measure
 from recmac import (
     DEFAULT_BUDGET,
@@ -28,6 +35,7 @@ from recmac import (
     authenticate,
     entropy_of,
     lift_to_asu2,
+    parse_family,
     posterior_entropy,
     run_attack_exact,
     run_attack_montecarlo,
@@ -36,7 +44,9 @@ from recmac import (
     verify,
 )
 
-from conftest import build_table16, record_contract
+from conftest import (
+    attack_report_oracle, build_table16, difference_counts_oracle, record_contract,
+)
 
 
 def attack_success_oracle(fam, rounds):
@@ -113,7 +123,8 @@ def test_requires_uniform_difference():
 def test_attack_rows_count_the_differences_once(build, monkeypatch):
     fam = build()
     rows = fam.tag_count
-    expected = [run_attack_exact(build(), l) for l in range(1, rows + 1)]
+    counts = difference_counts_oracle(fam)
+    expected = [attack_report_oracle(fam, counts, l) for l in range(1, rows + 1)]
     calls = []
     real = measure._difference_column
     monkeypatch.setattr(measure, "_difference_column",
@@ -128,6 +139,85 @@ def test_attack_rows_count_the_differences_once(build, monkeypatch):
         attack._attack_reports(fam, rows + 1, 1)   # checked before the budget
     with pytest.raises(BudgetExceeded):
         attack._attack_reports(build(), 1, 1)
+
+
+# differences 1, 2, 0, 3, 0 on the attack pair: guess 0 covers 2 of the 5 keys
+TABLE5 = TableFamily(["a", "b", "c"], [[0, 1, 2], [1, 3, 0], [2, 2, 1], [3, 0, 3], [1, 1, 2]])
+
+# every family the attack tests use; the pass runs on any counts, the entry
+# points only on families whose two-point bound is 1/|T|
+ATTACK_FAMILIES = [MulFamily(1), MulFamily(2), MulFamily(3), MulFamily(4), ToeplitzFamily(3, 2),
+                   build_table16(), CounterexampleFamily(2), CounterexampleFamily(3),
+                   PolyFamily(2, 2), PolyFamily(4, 2), TableFamily([7], [[0], [1]]), TABLE5]
+UNIFORM = [f for f in ATTACK_FAMILIES
+           if measure.measure_axu2(f).epsilon == F(1, f.tag_count)]
+
+
+def defined_rounds(nk, counts):
+    """The last round whose conditionals all have a nonzero denominator."""
+    last = 0
+    while last < len(counts) and nk - sum(counts[:last]) > 0:
+        last += 1
+    return last
+
+
+@pytest.mark.parametrize("fam", [f for f in ATTACK_FAMILIES if len(f.messages) > 1],
+                         ids=lambda f: f.descriptor())
+def test_the_pass_equals_the_per_round_oracle(fam):
+    counts = difference_counts_oracle(fam)
+    last = defined_rounds(fam.key_count, counts)
+    assert list(attack._reports(fam, counts, last)) == \
+        [attack_report_oracle(fam, counts, r) for r in range(last + 1)]
+    assert list(attack._reports(fam, counts, last, last)) == \
+        [attack_report_oracle(fam, counts, last)]
+
+
+@pytest.mark.parametrize("fam", UNIFORM, ids=lambda f: f.descriptor())
+def test_every_entry_point_reads_the_oracle_rows(fam):
+    counts = difference_counts_oracle(fam)
+    tc = fam.tag_count
+    rows = [attack_report_oracle(fam, counts, r) for r in range(tc + 1)]
+    assert attack._attack_reports(fam, tc, DEFAULT_BUDGET) == rows[1:]
+    assert attack._attack_reports(fam, tc, DEFAULT_BUDGET, first=0) == rows
+    for r, row in enumerate(rows):
+        assert posterior_entropy(fam, r) == (row.entropy_bits, row.entropy_formula_bits)
+        if r:
+            assert run_attack_exact(fam, r) == row
+    for l_max in range(tc):
+        assert success_recurrence(fam, l_max) == list(rows[l_max + 1].per_round_conditional)
+
+
+def test_rows_are_linear_in_the_rounds(monkeypatch):
+    # 256 rows: one difference column, O(R) logarithms and O(R) masses handed
+    # to entropy_of, where rebuilding each row handed it R(R+3)/2 masses
+    fam = ToeplitzFamily(1, 8)
+    rounds = fam.tag_count
+    columns, logs, masses = [], [], []
+    column, log2, entropy = measure._difference_column, ExactEntropy.log2, attack.entropy_of
+    monkeypatch.setattr(measure, "_difference_column",
+                        lambda *a: columns.append(a) or column(*a))
+    monkeypatch.setattr(ExactEntropy, "log2",
+                        classmethod(lambda cls, q: logs.append(q) or log2(q)))
+    monkeypatch.setattr(attack, "entropy_of", lambda p: masses.extend(p) or entropy(p))
+    reports = attack._attack_reports(fam, rounds, DEFAULT_BUDGET)
+    assert [r.rounds for r in reports] == list(range(1, rounds + 1))
+    assert reports[-1].success_prob == 1 and reports[-1].entropy_bits == ExactEntropy()
+    assert len(columns) == 1
+    assert len(logs) <= 3 * rounds + 3
+    assert len(masses) == 2 * rounds
+
+
+def test_rows_budget_counts_every_conditional():
+    # toeplitz:n=1,m=3: 8 rows hold 36 conditionals, more than its 8-cell axu2 walk
+    fam = ToeplitzFamily(1, 3)
+    for rounds in (4, 7, 8):
+        cells = rounds * (rounds + 1) // 2
+        assert len(attack._attack_reports(ToeplitzFamily(1, 3), rounds, cells)) == rounds
+        with pytest.raises(BudgetExceeded,
+                           match=f"exact attack rows for toeplitz:n=1,m=3 needs {cells} cells, "
+                                 f"budget is {cells - 1}$"):
+            attack._attack_reports(fam, rounds, cells - 1)
+    assert fam._axu2 is None
 
 
 # -- exact entropy arithmetic ---------------------------------------------------
@@ -190,18 +280,20 @@ def test_entropy_of_equals_per_term_sum(raw):
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10),
        st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=4))
 def test_grouped_class_entropy_equals_per_term_sum(counts, rounds, spare):
-    # _posterior_entropy sums classes of equal size once; unique factorization
-    # makes that the same value as one term per transcript class
-    rounds = min(rounds, len(counts))
+    # the pass adds one entropy term per class and the oracle groups classes of
+    # equal size; unique factorization makes both the per-term sum
     nk = sum(counts) + spare
     if nk == 0:
         return
-    fam = SimpleNamespace(key_count=nk, tag_count=len(counts))
+    rounds = min(rounds, defined_rounds(nk, counts))
+    fam = SimpleNamespace(key_count=nk, tag_count=len(counts), messages=(0, 1))
     want = ExactEntropy()
     for c in [*counts[:rounds], nk - sum(counts[:rounds])]:
         if c:
             want = want + ExactEntropy.log2(c).scaled(F(c, nk))
-    assert attack._posterior_entropy(fam, counts, rounds)[0] == want
+    reports = list(attack._reports(fam, counts, rounds))
+    assert reports[-1].entropy_bits == want
+    assert reports == [attack_report_oracle(fam, counts, r) for r in range(rounds + 1)]
 
 
 def entropy_oracle(fam, rounds):
@@ -283,6 +375,25 @@ def test_tags_alone_leak_nothing():
             assert F(byk.get(k1, 0), nz) == F(1, fam.key_count)
 
 
+@pytest.mark.parametrize("desc", ["mul:m=3", "toeplitz:n=3,m=2"])
+def test_key_leak_curve_script_prints_the_exact_curve(desc):
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(recmac.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, str(repo / "scripts" / "key_leak_curve.py"),
+                        "--family", desc, "--format", "csv"],
+                       capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                       timeout=120)
+    assert (r.returncode, r.stderr) == (0, "")
+    fam = parse_family(desc)
+    tc = fam.tag_count
+    rows = list(csv.DictReader(io.StringIO(r.stdout)))
+    assert [int(row["rounds"]) for row in rows] == list(range(tc + 1))
+    for l, row in enumerate(rows):
+        assert F(row["success"]) == F(l, tc)
+        assert row["conditional"] == ("" if l == tc else str(F(1, tc - l)))
+        assert float(row["entropy_bits"]) == float(posterior_entropy(fam, l)[0])
+
+
 # -- sampled transcripts and Monte Carlo ------------------------------------------
 
 
@@ -327,10 +438,6 @@ def test_montecarlo_deterministic_and_calibrated():
         run_attack_montecarlo(fam, 0, trials=10)
     with pytest.raises(DomainError):
         run_attack_montecarlo(fam, 1, trials=0)
-
-
-# differences 1, 2, 0, 3, 0 on the attack pair: guess 0 covers 2 of the 5 keys
-TABLE5 = TableFamily(["a", "b", "c"], [[0, 1, 2], [1, 3, 0], [2, 2, 1], [3, 0, 3], [1, 1, 2]])
 
 
 @pytest.mark.parametrize("fam, rounds", [(CounterexampleFamily(3), 1),

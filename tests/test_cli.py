@@ -5,12 +5,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recmac import parse_family
+from recmac import EnvStrategy, parse_family, uc_distance
 from recmac.cli import main
 
 
@@ -252,6 +253,16 @@ def test_montecarlo_and_sampling_refuse_over_budget(capsys):
     assert one_refusal_line(capsys)
 
 
+def test_attack_rows_over_budget_refuse_at_once(capsys):
+    # 65536 rows would hold 65536 * 65537 / 2 conditionals
+    start = time.perf_counter()
+    assert run_main("attack", "--family", "toeplitz:n=1,m=16", "--rounds", "65536") == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "recmac: budget refusal: exact attack rows for toeplitz:n=1,m=16 needs 2147516416 "
+        "cells, budget is 16777216\n")
+
+
 @pytest.fixture
 def parsed(monkeypatch):
     """The families the CLI parses, in order."""
@@ -281,11 +292,20 @@ def test_refused_uc_distance_measures_no_epsilon(monkeypatch, capsys, parsed, mo
     assert parsed[0]._axu2 is None and parsed[0]._table is None
 
 
-def test_refused_identity_uc_distance_builds_no_table(capsys, parsed):
-    # the identity run would pass the budget and build mul:m=10's 2^20-cell table
-    assert run_main("uc-distance", "--family", "mul:m=10", "--identity") == 1
+def test_refused_identity_uc_distance_builds_no_table(tmp_path, capsys, parsed):
+    # a table's strong bound scans its 2 * 16 * 15 / 2 = 240 column-pair cells,
+    # while the identity run would pass a budget of 100 and build the tag table
+    famfile = tmp_path / "fam.json"
+    famfile.write_text(json.dumps({"keys": 2, "messages": list(range(16)),
+                                   "table": [[x & 1 for x in range(16)], [0] * 16]}))
+    argv = ["uc-distance", "--family", f"table:@{famfile}", "--identity"]
+    assert run_main(*argv, "--budget", "100") == 1
     assert "exact asu2" in capsys.readouterr().err
     assert parsed[0]._table is None
+    fam = parse_family(f"table:@{famfile}")
+    assert uc_distance(fam, EnvStrategy.substitute(fam.messages[0], {}), budget=100) == 0
+    assert fam._table is not None
+    assert run_main(*argv, "--budget", "240") == 0
 
 
 @pytest.mark.parametrize("table", [[["a", 1], [1, 0]], [[True, 1], [1, 0]]],

@@ -66,7 +66,7 @@ SUBCOMMANDS = [
     (["fieldtab", "--family", "mul:m=2"], []),
     (["roundtrip", "--family", "mul:m=2", "--message", "1", "--k1", "2", "--pad", "3"],
      ["protocol"]),
-    (["attack", "--family", "mul:m=2", "--rounds", "2"], ["attack", "protocol"]),
+    (["attack", "--family", "mul:m=2", "--rounds", "2"], ["attack"]),
     (["compose", "--family", "mul:m=2", "--r", "1", "--rounds", "2", "--simulate"],
      ["compose"]),
     (["uc-distance", "--family", "mul:m=2", "--recycle"], ["dist", "ucsim"]),

@@ -257,12 +257,13 @@ def test_witnesses_on_tied_tables(fam):
     (measure_axu2, lambda: ToeplitzFamily(3, 2), 16 * 7),               # difference walk
     (measure_axu2, lambda: lift_to_asu2(MulFamily(2)), 16 * 4 * 3 // 2),  # pair loop
     (measure_axu2, lambda: TableFamily([0, 1, 2], [[0, 1, 1], [1, 0, 0]]), 2 * 3 * 2 // 2),
-    (measure_asu2, lambda: MulFamily(3), 8 * 8 * 7 // 2),
-    (measure_asu2, lambda: PolyFamily(2, 2), 4 * 16 * 15 // 2),
-    (measure_asu2, lambda: ToeplitzFamily(3, 2), 16 * 8 * 7 // 2),
-    (measure_asu2, lambda: lift_to_asu2(MulFamily(2)), 16 * 4 * 3 // 2),
+    (measure_asu2, lambda: MulFamily(3), 8 * 7 + 2 * 8),                # walk, recount
+    (measure_asu2, lambda: PolyFamily(2, 2), 4 * 15 + 2 * 4),           # walk, recount
+    (measure_asu2, lambda: ToeplitzFamily(3, 2), 16 * 7 + 2 * 16),      # walk, recount
+    (measure_asu2, lambda: lift_to_asu2(MulFamily(2)), 4 * 3 + 2 * 16),  # base walk, recount
+    (measure_asu2, lambda: TableFamily([0, 1, 2], [[0, 1, 1], [1, 0, 0]]), 2 * 3 * 2 // 2),
 ], ids=["axu2-mul", "axu2-toeplitz", "axu2-lift", "axu2-table", "asu2-mul", "asu2-poly",
-        "asu2-toeplitz", "asu2-lift"])
+        "asu2-toeplitz", "asu2-lift", "asu2-table"])
 def test_measure_budget_threshold_builds_nothing_when_refused(measure, build, work):
     fam = build()
     base = getattr(fam, "base", fam)
@@ -364,7 +365,7 @@ def test_asu2_closed_form_on_lifted_tables(base):
 
 @pytest.mark.parametrize("build, budget, epsilon", [
     (lambda: PolyFamily(4, 2), DEFAULT_BUDGET, F(2)),          # 16 * 1/8
-    (lambda: MulFamily(10), 1 << 30, F(1)),                    # 1024 * 1024 * 1023 / 2 cells
+    (lambda: MulFamily(10), DEFAULT_BUDGET, F(1)),             # 1024 * 1023 + 2 * 1024 cells
     (lambda: lift_to_asu2(MulFamily(6)), DEFAULT_BUDGET, F(1, 64)),
 ], ids=["poly:m=4,L=2", "mul:m=10", "lift(mul:m=6)"])
 def test_asu2_closed_form_builds_no_tag_table(build, budget, epsilon):

@@ -222,9 +222,17 @@ def test_compose_imports_nothing_from_attack():
 
 
 def test_posterior_entropy_reads_entropy_of_and_builds_no_counter():
+    # the posterior entropy is built in the one pass over the rounds
     found = calls_by_function(ATTACK)
-    assert "entropy_of" in found["_posterior_entropy"]
-    assert "Counter" not in found["_posterior_entropy"]
+    assert "entropy_of" in found["_reports"]
+    assert "Counter" not in found["_reports"]
+
+
+def test_the_attack_entry_points_read_one_pass():
+    found = calls_by_function(ATTACK)
+    assert {name for name, calls in found.items() if "_reports" in calls} == {
+        "run_attack_exact", "_attack_reports", "posterior_entropy", "success_recurrence"}
+    assert not {"_conditionals", "_attack_report", "_posterior_entropy"} & set(found)
 
 
 def tracer_targets():
