@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
-from .measure import _attack_pair, _eliminated, measure_axu2
+from .measure import _attack_pair, _eliminated, _three_sigma, measure_axu2
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -343,7 +343,6 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     rate = Fraction(hits, trials)
     expected = Fraction(sum(_eliminated(fam)[:rounds]), kc)
     p = float(rate)
-    sig_hat = math.sqrt(max(p * (1 - p), 0.0) / trials)
     pe = float(expected)
     sig = math.sqrt(pe * (1 - pe) / trials)
     return MonteCarloReport(
@@ -352,7 +351,7 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
         hits=hits,
         rate=rate,
         expected=expected,
-        interval=(max(0.0, p - 3 * sig_hat), min(1.0, p + 3 * sig_hat)),
+        interval=_three_sigma(p, trials),
         within_3sigma=abs(p - pe) <= 3 * sig,
         seed=seed,
     )

@@ -215,6 +215,11 @@ def cmd_compose(args, fam):
 
     eps_prime = Fraction(args.qkd_eps)
     qkd = compose_mod.ToyQkdFunctionality(args.rounds * fam.tag_bits, eps_prime)
+    # the simulation's gate is arithmetic, so a refusal comes before the ledger's measure
+    if args.simulate:
+        simulated = frac_str(compose_mod.simulate_composition(
+            fam, args.r, args.rounds, budget=args.budget
+        ))
     ledger, bound = compose_mod.compose_ledger(
         fam, args.r, args.rounds, qkd, budget=args.budget
     )
@@ -233,9 +238,6 @@ def cmd_compose(args, fam):
             for e, cum in zip(ledger.entries, ledger.cumulative())]
     rows.append(["", "total-bound", doc["bound"], doc["bound"]])
     if args.simulate:
-        simulated = frac_str(compose_mod.simulate_composition(
-            fam, args.r, args.rounds, budget=args.budget
-        ))
         doc["simulated_distance"] = simulated
         rows.append(["", "simulated-distance", simulated, simulated])
     return doc, ["round", "component", "epsilon", "cumulative"], rows

@@ -225,25 +225,36 @@ class ToeplitzFamily(HashFamily):
         return f"toeplitz:n={self.n},m={self.tag_bits}"
 
 
+def _table_message(x):
+    """x as a hashable table message: an integer, a string, or a tuple of those."""
+    if isinstance(x, (list, tuple)) and all(isinstance(p, (int, str)) for p in x):
+        return tuple(x)
+    if isinstance(x, (int, str)):
+        return x
+    raise DomainError(f"table messages must be integers, strings or lists of those, got {x!r}")
+
+
 class TableFamily(HashFamily):
     """A family given by an explicit tag table; rows may repeat.
 
     The JSON form is {"keys": K, "messages": [...], "table": [[...], ...]}
     with one row per key.  An optional "m" pins the tag width; otherwise the
-    smallest width holding every tag is used.
+    smallest width holding every tag is used.  Every message is an integer
+    (booleans included), a string, or a list of those, held as a tuple.
+    Anything else is a domain error: a null would read as the receiver's
+    rejection, None, and a float has no place in the outcome order.
     """
 
     def __init__(self, messages: Sequence, table: Sequence[Sequence[int]],
                  m: int | None = None, source: str = "inline"):
         super().__init__()
-        try:  # a JSON list becomes a tuple, so that every message is hashable
-            messages = [tuple(x) if isinstance(x, list) else x for x in messages]
-            distinct = len(set(messages))
+        try:
+            messages = [_table_message(x) for x in messages]
         except TypeError:
-            raise DomainError("table family messages must be numbers, strings or lists") from None
+            raise DomainError("table family messages must be a list") from None
         if not messages:
             raise DomainError("table family needs at least one message")
-        if distinct != len(messages):
+        if len(set(messages)) != len(messages):
             raise DomainError("table family messages must be distinct")
         try:
             rows = [list(r) for r in table]

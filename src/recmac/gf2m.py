@@ -113,8 +113,8 @@ class FieldCtx:
             return
         n = self.order - 1
         # x need not generate the multiplicative group (it does not for the
-        # degree-8 modulus), so scan for a generator.
-        for g in range(2, self.order):
+        # degree-8 modulus), so scan for a generator, from 1: all of GF(2)'s group.
+        for g in range(1, self.order):
             exp = [0] * n
             log = [-1] * self.order
             v = 1
@@ -136,8 +136,6 @@ class FieldCtx:
         self.check(b)
         if a == 0 or b == 0:
             return 0
-        if self.m == 1:
-            return 1
         self._ensure_tables()
         n = self.order - 1
         return self._exp[(self._log[a] + self._log[b]) % n]

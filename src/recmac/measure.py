@@ -9,18 +9,24 @@ and measure_asu2 computes
     max over x1 != x2, t1, t2  of  |T| * Pr_k[h_k(x1) = t1 and h_k(x2) = t2]
 
 by counting keys, as exact rationals, together with a witness attaining the
-maximum: the first maximizing pair in message-pair order, and within it the
-first tag (or tag pair) in tag order.  Families with a single message get 0
-by convention: there is no pair to attack.  The one-point tag marginal
-Pr_k[h_k(x) = t] is measurable too (tag_marginal) but nothing here requires
-it to be uniform; two-point bounds are the security-relevant quantity.
+maximum.  Families with a single message get 0 by convention: there is no
+pair to attack.  The one-point tag marginal Pr_k[h_k(x) = t] is measurable
+too (tag_marginal) but nothing here requires it to be uniform; two-point
+bounds are the security-relevant quantity.
 
 Everything is counted over tag columns, the tags of one message (or one
 difference) under every key, with C-level counting (Counter over a map or
-zip of two columns) instead of a Python loop over keys.  The pair scans
-read their columns from the family's tag table, which they build only after
-their own budget check has admitted the call; the table has K * |X| cells,
-at most twice the K * |X| * (|X| - 1) / 2 cells the check counts.
+zip of two columns) instead of a Python loop over keys.  One rule,
+_first_max, picks every maximum and its witness from (rank, pair, values)
+candidates: the top count wins, a tie goes to the lower rank (the earlier
+candidate on equal ranks), and the smallest value with the top count,
+looked for only when the maximum moves, completes the witness.  The pair
+scans yield every column pair of the tag table in pair order, and
+sample_axu2 its drawn pairs in draw order, all at rank 0, so the witness is
+the first maximizing pair in message-pair (or draw) order with its first
+tag, or tag pair.  The scans build the table only after their budget check
+has admitted the call; it has K * |X| cells, at most twice the
+K * |X| * (|X| - 1) / 2 cells the check counts.
 
 For XOR-linear families over a full message space the pair maximum equals
 the difference maximum
@@ -36,9 +42,8 @@ an all-zero column, so it first checks that h_k(0) = 0 under every key, as
 linearity forces.  It visits every nonzero d in Gray-code order, so
 consecutive differences differ in one bit b and each step is one XOR of the
 running column with basis column b: K * (message_bits + 1) tag evaluations
-and O(K * message_bits) memory, never the K * |X| table.  The Gray order is
-not message order, so among differences with equal counts the walk keeps
-the smallest d, which is the one the message-order scan would report.
+and O(K * message_bits) memory, never the K * |X| table.  Each d has rank
+d, so a tie goes to the smallest d, the one the message-order scan reports.
 
 The strong bound never exceeds the XOR bound: keys that agree on both tags,
 h_k(x1) = t1 and h_k(x2) = t2, agree on h_k(x1) ^ h_k(x2) = t1 ^ t2, so no
@@ -77,7 +82,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
+from itertools import combinations, repeat
 from operator import xor
 
 from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
@@ -131,18 +137,38 @@ def _eliminated(fam: HashFamily) -> list[int]:
     return [counts[t] for t in fam.tags()]
 
 
-def _tally(values, beat: int = -1) -> tuple[int, object, Counter]:
-    """Count the values: the top count, the smallest value with it, the counts.
+def _first_max(candidates) -> tuple[int, tuple, object]:
+    """(top count, pair, value) over (rank, pair, values) candidates: the module's witness rule."""
+    best, best_rank = -1, None
+    for rank, pair, values in candidates:
+        counts = Counter(values)
+        c = max(counts.values())
+        if c > best or c == best and rank < best_rank:
+            best, best_rank, best_pair = c, rank, pair
+            value = min(v for v, n in counts.items() if n == c)
+    return best, best_pair, value
 
-    The smallest value is looked for only when the top count exceeds `beat`
-    and is None otherwise, so a scan that keeps the first maximum pays for
-    it only when the maximum moves.
-    """
-    counts = Counter(values)
-    best = max(counts.values())
-    if best <= beat:
-        return best, None, counts
-    return best, min(v for v, c in counts.items() if c == best), counts
+
+def _difference_walk(fam: HashFamily):
+    """(d, (x0, x_d), h_k(d) for every key) for every nonzero d, in Gray-code order."""
+    msgs = fam.messages
+    if any(_column(fam, msgs[0])):
+        raise VerificationFailed(f"difference walk needs h_k({msgs[0]!r}) = 0 "
+                                 f"under every key of {fam.descriptor()}")
+    basis = [_column(fam, msgs[1 << b]) for b in range(fam.message_bits)]
+    col = [0] * fam.key_count
+    for i in range(1, 1 << fam.message_bits):
+        col = list(map(xor, col, basis[(i & -i).bit_length() - 1]))
+        d = i ^ (i >> 1)
+        yield d, (msgs[0], msgs[d]), col
+
+
+def _table_pairs(fam: HashFamily, values):
+    """(0, (x1, x2), values(column x1, column x2)) for every pair of the tag table."""
+    msgs = fam.messages
+    cols = list(zip(*fam._tag_table()))
+    for i, j in combinations(range(len(msgs)), 2):
+        yield 0, (msgs[i], msgs[j]), values(cols[i], cols[j])
 
 
 def _linear_ok(fam: HashFamily) -> bool:
@@ -168,38 +194,10 @@ def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     check_budget(_axu2_work(fam), budget,
                  f"exact axu2 for {fam.descriptor()} (or sample it with sample_axu2)")
     if fam._axu2 is None:
-        fam._axu2 = _axu2(fam)
+        scan = _difference_walk(fam) if _linear_ok(fam) else _table_pairs(fam, partial(map, xor))
+        best, pair, t = _first_max(scan)
+        fam._axu2 = Measurement("axu2", Fraction(best, fam.key_count), (*pair, t))
     return fam._axu2
-
-
-def _axu2(fam: HashFamily) -> Measurement:
-    msgs = fam.messages
-    if _linear_ok(fam):
-        bits = fam.message_bits
-        if any(_column(fam, msgs[0])):
-            raise VerificationFailed(f"difference walk needs h_k({msgs[0]!r}) = 0 "
-                                     f"under every key of {fam.descriptor()}")
-        basis = [_column(fam, msgs[1 << b]) for b in range(bits)]
-        col = [0] * fam.key_count
-        best, best_d = -1, 1 << bits
-        for i in range(1, 1 << bits):
-            col = list(map(xor, col, basis[(i & -i).bit_length() - 1]))
-            d = i ^ (i >> 1)
-            # the top tag is looked for only if d can be the witness: a smaller d
-            # wins a tie, a larger one must beat the best count
-            c, t, _ = _tally(col, best - (d < best_d))
-            if t is not None:
-                best, best_d, best_t = c, d, t
-        witness = (msgs[0], msgs[best_d], best_t)
-    else:
-        cols = list(zip(*fam._tag_table()))
-        best = -1
-        for i, x1 in enumerate(msgs):
-            for j in range(i + 1, len(msgs)):
-                c, t, _ = _tally(map(xor, cols[i], cols[j]), best)
-                if t is not None:
-                    best, witness = c, (x1, msgs[j], t)
-    return Measurement("axu2", Fraction(best, fam.key_count), witness)
 
 
 def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
@@ -229,21 +227,21 @@ def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
                 f"keys, not the {axu2.epsilon * src.key_count} of its axu2 witness")
         return Measurement("asu2", Fraction(fam.tag_count * c, fam.key_count), (x1, x2, 0, t))
     check_budget(fam.key_count * nx * (nx - 1) // 2, budget, what)
-    cols = list(zip(*fam._tag_table()))
-    best = -1
-    for i, x1 in enumerate(msgs):
-        for j in range(i + 1, nx):
-            c, t, _ = _tally(zip(cols[i], cols[j]), best)
-            if t is not None:
-                best, witness = c, (x1, msgs[j], *t)
-    return Measurement("asu2", Fraction(fam.tag_count * best, fam.key_count), witness)
+    best, pair, t = _first_max(_table_pairs(fam, zip))
+    return Measurement("asu2", Fraction(fam.tag_count * best, fam.key_count), (*pair, *t))
 
 
 def tag_marginal(fam: HashFamily, x) -> dict[int, Fraction]:
     """One-point marginal Pr_k[h_k(x) = t] for every tag t."""
     fam.message_index(x)
-    counts = _tally(_column(fam, x))[2]
+    counts = Counter(_column(fam, x))
     return {t: Fraction(counts[t], fam.key_count) for t in fam.tags()}
+
+
+def _three_sigma(p: float, n: int) -> tuple[float, float]:
+    """p widened by 3 binomial sigmas of n draws, clipped to [0, 1]."""
+    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / n)
+    return max(0.0, p - 3 * sigma), min(1.0, p + 3 * sigma)
 
 
 def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0,
@@ -265,23 +263,12 @@ def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0,
     if len(fam.messages) < 2:
         return SampledMeasurement("axu2", Fraction(0), (0.0, 0.0), 0, Fraction(1), seed, None)
     rng = random.Random(seed)
-    msgs = list(fam.messages)
+    msgs = fam.messages
     nx = len(msgs)
-    total_pairs = nx * (nx - 1) // 2
-    best = -1
-    witness = None
-    for _ in range(pairs):
-        i = rng.randrange(nx)
-        j = rng.randrange(nx - 1)
-        if j >= i:
-            j += 1
-        x1, x2 = msgs[i], msgs[j]
-        c, t, _ = _tally(_difference_column(fam, x1, x2), best)
-        if t is not None:
-            best, witness = c, (x1, x2, t)
+    draws = ((rng.randrange(nx), rng.randrange(nx - 1)) for _ in range(pairs))
+    drawn = ((msgs[i], msgs[j + (j >= i)]) for i, j in draws)   # j skips i
+    best, pair, t = _first_max((0, p, _difference_column(fam, *p)) for p in drawn)
     est = Fraction(best, fam.key_count)
-    p = float(est)
-    sigma = math.sqrt(max(p * (1.0 - p), 0.0) / fam.key_count)
-    interval = (max(0.0, p - 3 * sigma), min(1.0, p + 3 * sigma))
-    coverage = Fraction(min(pairs, total_pairs), total_pairs)
-    return SampledMeasurement("axu2", est, interval, pairs, coverage, seed, witness)
+    total = nx * (nx - 1) // 2
+    return SampledMeasurement("axu2", est, _three_sigma(float(est), fam.key_count), pairs,
+                              Fraction(min(pairs, total), total), seed, (*pair, t))

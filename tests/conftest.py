@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import random
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -147,6 +148,32 @@ def asu2_witness_oracle(fam) -> tuple[Fraction, tuple | None]:
                 if hits[cell] > best:
                     best, witness = hits[cell], (x1, x2, *cell)
     return Fraction(fam.tag_count * best, fam.key_count), witness
+
+
+def sample_axu2_oracle(fam, pairs: int, seed: int) -> tuple[Fraction, tuple | None]:
+    """(estimate, witness) of sample_axu2: the first maximum over the drawn pairs.
+
+    Replays the draws of random.Random(seed), message i then j among the
+    others, and keeps the first strict maximum in draw order, tags in
+    increasing order within a pair.
+    """
+    msgs = list(fam.messages)
+    if len(msgs) < 2:
+        return Fraction(0), None
+    rng = random.Random(seed)
+    best, witness = -1, None
+    for _ in range(pairs):
+        i = rng.randrange(len(msgs))
+        others = msgs[:i] + msgs[i + 1:]
+        x1, x2 = msgs[i], others[rng.randrange(len(others))]
+        hits: dict[int, int] = {}
+        for k in fam.keys():
+            d = fam.tag(k, x1) ^ fam.tag(k, x2)
+            hits[d] = hits.get(d, 0) + 1
+        for t in sorted(hits):
+            if hits[t] > best:
+                best, witness = hits[t], (x1, x2, t)
+    return Fraction(best, fam.key_count), witness
 
 
 # -- real/ideal distance oracle -----------------------------------------------

@@ -325,6 +325,20 @@ def test_table_that_is_not_a_list_of_rows_is_a_usage_error(tmp_path, capsys, tab
     assert one_error_line(capsys)
 
 
+def test_refused_simulation_measures_nothing(monkeypatch, capsys):
+    import recmac.compose as compose
+
+    def measured(*args, **kwargs):
+        raise AssertionError("the ledger measured before the simulation was admitted")
+
+    monkeypatch.setattr(compose, "measure_axu2", measured)
+    assert run_main("compose", "--family", "mul:m=12", "--r", "1", "--rounds", "2",
+                    "--simulate") == 1
+    assert capsys.readouterr().err == (
+        "recmac: budget refusal: multi-round outcome space needs 68719476736 cells, "
+        "budget is 16777216\n")
+
+
 ALL_COMMANDS = [
     ("epsilon", "--family", "mul:m=3"),
     ("epsilon", "--family", "mul:m=5", "--sample", "--pairs", "50", "--seed", "7"),
@@ -549,6 +563,19 @@ def test_every_table_file_keeps_the_exit_contract(tmp_path_factory, command, doc
     famfile.write_text(json.dumps(doc))
     argv = [command[0], "--family", f"table:@{famfile}", *command[1:], "--format", fmt]
     keeps_the_exit_contract(*call_main(argv))
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("messages", [
+    [None, 0, 1], [None, False, 1.5], [0, 1.5, 2], [[0, None], 1, 2],
+], ids=["null", "null-float", "float", "null-in-list"])
+def test_null_or_float_table_message_is_a_usage_error(tmp_path, capsys, command, messages):
+    # a null message would read as the receiver's rejection, and a float has no outcome order
+    famfile = tmp_path / "fam.json"
+    famfile.write_text(json.dumps({"keys": 3, "messages": messages, "m": 1,
+                                   "table": [[1, 1, 0], [1, 0, 0], [1, 0, 1]]}))
+    assert run_main(command[0], "--family", f"table:@{famfile}", *command[1:]) == 2
+    assert one_error_line(capsys)
 
 
 # -- stdout pins ------------------------------------------------------------------

@@ -228,6 +228,19 @@ def test_table_family_rejects_unhashable_messages():
         TableFamily([[1, [2]], 1], [[0, 1]])
 
 
+@pytest.mark.parametrize("messages", [
+    [None, 0, 1], [None, False, 1.5], [0, 1.5, 2], [[0, None], 1, 2], [(0, 1.5), 1, 2],
+], ids=["null", "null-float", "float", "null-in-list", "float-in-tuple"])
+def test_table_family_rejects_null_and_float_messages(messages):
+    with pytest.raises(DomainError, match="integers, strings or lists of those"):
+        TableFamily(messages, [[1, 1, 0], [1, 0, 0], [1, 0, 1]], m=1)
+
+
+def test_table_messages_are_integers_strings_or_lists_of_those():
+    fam = TableFamily([True, "b", [0, "a", False], (2, 3), []], [[0, 1, 2, 3, 0]])
+    assert list(fam.messages) == [True, "b", (0, "a", False), (2, 3), ()]
+
+
 def test_table_family_messages_are_hashable():
     fam = TableFamily([[1, 2], [3]], [[0, 1]])
     assert list(fam.messages) == [(1, 2), (3,)]

@@ -24,6 +24,13 @@ def test_mul_matches_schoolbook_exhaustively_small():
                 assert f.mul(a, b) == gf_mul_oracle(a, b, f.modulus)
 
 
+def test_gf2_multiplies_through_its_tables():
+    # the generator scan starts at 1, which generates GF(2)'s one-element group
+    f = FieldCtx(1)
+    assert f.mul(1, 1) == 1
+    assert (f._exp, f._log) == ([1], [-1, 0])
+
+
 def test_mul_matches_schoolbook_random_large():
     rng = random.Random(1234)
     for m in range(5, MAX_DEGREE + 1):

@@ -32,6 +32,7 @@ from recmac import (
 
 from conftest import (
     asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle, record_contract,
+    sample_axu2_oracle,
 )
 
 SMALL_FAMILIES = [
@@ -250,6 +251,13 @@ def tied_tables(draw):
 def test_witnesses_on_tied_tables(fam):
     assert as_pair(measure_axu2(fam)) == axu2_witness_oracle(fam)
     assert as_pair(measure_asu2(fam)) == asu2_witness_oracle(fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fam=tied_tables(), pairs=st.integers(1, 12), seed=st.integers(0, 2 ** 32))
+def test_sampled_witness_is_the_first_maximum_in_draw_order(fam, pairs, seed):
+    s = sample_axu2(fam, pairs=pairs, seed=seed)
+    assert (s.epsilon_estimate, s.witness) == sample_axu2_oracle(fam, pairs, seed)
 
 
 @pytest.mark.parametrize("measure, build, work", [

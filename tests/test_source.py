@@ -258,3 +258,18 @@ def test_every_tracer_target_resolves():
         if owner is None or name not in vars(owner):
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+# one first-maximum rule: _first_max alone counts the candidates of a maximum, and
+# the difference walk, both tag-table scans and the sampler all feed it
+MEASURE = Path(recmac.__file__).parent / "measure.py"
+
+
+def test_every_two_point_maximum_goes_through_first_max():
+    found = calls_by_function(MEASURE)
+    assert {name for name, calls in found.items() if "_first_max" in calls} == {
+        "measure_axu2", "measure_asu2", "sample_axu2"}
+    assert {name for name, calls in found.items() if "Counter" in calls} == {
+        "_first_max", "_eliminated", "tag_marginal"}
+    assert {"_difference_walk", "_table_pairs"} <= set(found)
+    assert not {"_tally", "_axu2"} & set(found)

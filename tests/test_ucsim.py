@@ -404,6 +404,15 @@ def test_standard_mode_bounded_by_asu2(table16):
     assert d <= eps
 
 
+def test_no_table_message_reads_as_a_rejection():
+    # a null message would collide with the receiver's None: its forgery read as a
+    # rejection, and the worst case came out at 2/3
+    rows = [[1, 1, 0], [1, 0, 0], [1, 0, 1]]
+    assert worst_case_distance(TableFamily(["n", 0, 1], rows, m=1))[0] == 1
+    with pytest.raises(DomainError):
+        TableFamily([None, 0, 1], rows, m=1)
+
+
 # -- recycled-key uniformity ---------------------------------------------------
 
 
