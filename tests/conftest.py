@@ -479,6 +479,38 @@ def attack_report_oracle(fam, counts: list[int], rounds: int) -> AttackReport:
     )
 
 
+def montecarlo_hits_oracle(fam, rounds: int, trials: int, seed: int) -> int:
+    """The Monte Carlo's hits, one getrandbits call per draw.
+
+    Each trial draws k1 and then one pad per round as random.Random.randrange
+    does (getrandbits(n.bit_length()) redrawn while >= n), plays every round
+    on the masked tags and counts a hit if any forgery is accepted.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    x, x_sub = fam.messages[0], fam.messages[1]
+    kc, tc = fam.key_count, fam.tag_count
+    kbits, tbits = kc.bit_length(), tc.bit_length()
+    hashes: dict[int, tuple[int, int]] = {}
+    hits = 0
+    for _ in range(trials):
+        k1 = getrandbits(kbits)
+        while k1 >= kc:
+            k1 = getrandbits(kbits)
+        if k1 not in hashes:
+            hashes[k1] = fam.tag(k1, x), fam.tag(k1, x_sub)
+        hx, hs = hashes[k1]
+        hit = False
+        for i in range(rounds):
+            pad = getrandbits(tbits)
+            while pad >= tc:
+                pad = getrandbits(tbits)
+            t = hx ^ pad
+            if not hit and hs ^ pad == t ^ i:
+                hit = True
+        hits += hit
+    return hits
+
+
 # -- frozen value classes, held against frozen dataclasses ----------------------
 
 

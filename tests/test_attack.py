@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,7 +46,8 @@ from recmac import (
 )
 
 from conftest import (
-    attack_report_oracle, build_table16, difference_counts_oracle, record_contract,
+    attack_report_oracle, build_table16, difference_counts_oracle, montecarlo_hits_oracle,
+    record_contract,
 )
 
 
@@ -503,8 +505,86 @@ def test_montecarlo_hits_match_sample_transcript(fam, seed):
        st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=120))
 def test_montecarlo_hits_match_sample_transcript_on_any_seed(seed, fam, rounds, trials):
     rounds = min(rounds, fam.tag_count)
-    assert run_attack_montecarlo(fam, rounds, trials, seed).hits == \
-        transcript_hits(fam, rounds, trials, seed)
+    hits = run_attack_montecarlo(fam, rounds, trials, seed).hits
+    assert hits == transcript_hits(fam, rounds, trials, seed)
+    assert hits == montecarlo_hits_oracle(fam, rounds, trials, seed)
+
+
+# trials a window of mul:m=8 at 16 rounds holds: k1 and 16 pads a trial.  A
+# window of them draws past the first chunk of words, so each case refills.
+PER_WINDOW = attack._WINDOW_LANES // 17
+# rounds from which a window holds fewer trials than a trial has draws
+ALONE = math.isqrt(attack._WINDOW_LANES)
+
+MC_EDGE_CASES = [
+    (MulFamily(8), 16, 1),
+    (MulFamily(8), 16, PER_WINDOW - 1),
+    (MulFamily(8), 16, PER_WINDOW),
+    (MulFamily(8), 16, PER_WINDOW + 1),
+    (MulFamily(4), 16, 300),                          # rounds = |T|: every trial hits
+    (MulFamily(8), ALONE, 40),                        # a window a trial
+    (MulFamily(8), 256, 30),                          # ... and rounds = |T|
+    (MulFamily(16), attack._WINDOW_LANES + 5, 3),     # a trial longer than a window
+    (ToeplitzFamily(10, 7), 5, 300),                  # 2^16 keys, three key columns
+    (lift_to_asu2(MulFamily(3)), 5, 500),             # 64 keys, 8 tags
+]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("fam, rounds, trials", MC_EDGE_CASES,
+                         ids=lambda v: getattr(v, "descriptor", lambda: str(v))())
+def test_montecarlo_hits_match_the_oracles_at_window_and_chunk_edges(fam, rounds, trials, seed):
+    hits = run_attack_montecarlo(fam, rounds, trials, seed, budget=2**30).hits
+    assert hits == montecarlo_hits_oracle(fam, rounds, trials, seed)
+    assert hits == transcript_hits(fam, rounds, trials, seed)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_montecarlo_hits_match_the_oracles_on_every_mul_size(m):
+    # half the tag space in rounds, so hits and misses both occur; from m = 9
+    # on a trial takes windows of its own, at m = 16 exactly one
+    fam = MulFamily(m)
+    rounds = max(1, fam.tag_count // 2)
+    trials = max(2, 2000 // rounds)
+    hits = run_attack_montecarlo(fam, rounds, trials, seed=m).hits
+    assert hits == montecarlo_hits_oracle(fam, rounds, trials, m)
+    assert hits == transcript_hits(fam, rounds, trials, m)
+
+
+def test_montecarlo_pins_the_benchmark_hits():
+    # the benchmark's game job, counted by the per-draw engine before the lanes
+    fam = MulFamily(8)
+    assert run_attack_montecarlo(fam, 16, 100_000, seed=0).hits == 6304
+    assert run_attack_montecarlo(fam, 16, 100_000, seed=1).hits == 6314
+
+
+def test_montecarlo_keeps_the_per_draw_engine_off_power_of_two_counts(monkeypatch):
+    # 7 keys: k1 is redrawn on its own rule, so which words a trial keeps
+    # depends on what each word is drawn for, and the per-draw engine runs
+    fam = CounterexampleFamily(3)
+    calls = []
+    real = attack._draw_hits
+    monkeypatch.setattr(attack, "_draw_hits", lambda *a: calls.append(a[0]) or real(*a))
+    run_attack_montecarlo(fam, 3, 50, seed=2)
+    run_attack_montecarlo(MulFamily(3), 3, 50, seed=2)
+    assert calls == [fam]
+
+
+def test_montecarlo_memory_does_not_grow_with_trials():
+    # a chunk of words and a window of lanes, whatever the trial count; the
+    # key cache holds at most |K| = 256 entries here
+    fam = MulFamily(8)
+    run_attack_montecarlo(fam, 16, 1000)
+    peaks = []
+    for trials in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_attack_montecarlo(fam, 16, trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 2 * 2**20
+    assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 SIZES = (1, 2, 3, 7, 8, 255, 256, 257, 2**16, 2**16 + 1)
@@ -527,6 +607,20 @@ def test_randrange_is_getrandbits_rejection():
             for _ in range(6):   # one key-sized draw, then a trial's pads
                 for n in (kc, tc, tc, tc):
                     assert below(mirror, n) == rng.randrange(n)
+
+
+def test_getrandbits_is_words_least_significant_first():
+    # run_attack_montecarlo's lane path reads a draw below 2^b, b < 32, as one
+    # 32-bit word and bulk draws as successive words; this pins both contracts
+    for seed in range(6):
+        for words in (1, 2, 3, 64, 1000):
+            bulk, single = random.Random(seed), random.Random(seed)
+            assert bulk.getrandbits(32 * words) == \
+                sum(single.getrandbits(32) << 32 * i for i in range(words))
+        short, whole = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            for k in range(1, 33):
+                assert short.getrandbits(k) == whole.getrandbits(32) >> (32 - k)
 
 
 def test_montecarlo_budget_counts_every_round():

@@ -130,6 +130,19 @@ def test_simulation_guards():
         simulate_composition(TableFamily([7], [[0], [1]]), 1, 1)
 
 
+def test_simulation_refusal_line_at_the_bit_length_gate():
+    # mul:m=2, n = 3: tag_bits * n = 6.  Budget 63 has bit length 6, so the
+    # gate refuses and writes |K|*|T|^n unbuilt; budget 64 has bit length 7,
+    # so check_budget counts the 256 cells
+    fam = MulFamily(2)
+    with pytest.raises(BudgetExceeded) as refused:
+        simulate_composition(fam, 1, 3, budget=63)
+    assert str(refused.value) == "multi-round outcome space needs 4*4^3 cells, budget is 63"
+    with pytest.raises(BudgetExceeded) as refused:
+        simulate_composition(fam, 1, 3, budget=64)
+    assert str(refused.value) == "multi-round outcome space needs 256 cells, budget is 64"
+
+
 def test_ledger_entry_container():
     entries = (LedgerEntry(1, "qkd", F(1, 10)), LedgerEntry(1, "auth", F(1, 4)))
     led = ErrorLedger(entries)

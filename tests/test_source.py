@@ -140,13 +140,19 @@ ATTACK = Path(recmac.__file__).parent / "attack.py"
 
 def test_montecarlo_draws_apart_from_the_protocol_path():
     # the Monte Carlo replays randrange's stream on getrandbits and plays the
-    # pads itself; sample_transcript stays on randrange and the protocol, so
-    # the tests that hold their hits equal compare two independent paths
+    # pads itself, a draw a call or words in bulk; sample_transcript stays on
+    # randrange and the protocol, so the tests that hold their hits equal
+    # compare two independent paths.  No other function of attack.py draws
+    # with randrange or runs the protocol.
     found = calls_by_function(ATTACK)
     protocol_path = {"randrange", "authenticate", "verify"}
-    assert not found["run_attack_montecarlo"] & protocol_path
+    assert [name for name, calls in found.items() if calls & protocol_path] == \
+        ["sample_transcript"]
     assert found["sample_transcript"] >= protocol_path
-    assert "getrandbits" in found["run_attack_montecarlo"]
+    assert {"_draw_hits", "_lane_hits"} <= found["run_attack_montecarlo"]
+    assert "getrandbits" in found["_draw_hits"]
+    assert "getrandbits" in found["take"]          # _Draws.take, the lane path's words
+    assert "_Draws" in found["_lane_hits"]
 
 
 # start-up: no module loads dataclasses (which loads inspect, ast, dis and
