@@ -32,7 +32,7 @@ _EXPORTS = {
     "attack": ("ExactEntropy", "AttackReport", "MonteCarloReport", "Transcript",
                "RoundRecord", "run_attack_exact", "run_attack_montecarlo",
                "posterior_entropy", "success_recurrence", "sample_transcript", "entropy_of"),
-    "compose": ("ToyQkdFunctionality", "LedgerEntry", "ErrorLedger", "compose_ledger",
+    "compose": ("ToyQkdFunctionality", "ErrorLedger", "compose_ledger",
                 "simulate_composition", "LIST_ELIMINATION", "IDENTITY"),
 }
 

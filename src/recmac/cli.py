@@ -223,19 +223,19 @@ def cmd_compose(args, fam):
     ledger, bound = compose_mod.compose_ledger(
         fam, args.r, args.rounds, qkd, budget=args.budget
     )
+    text = {"qkd": frac_str(ledger.eps_prime), "auth": frac_str(ledger.epsilon)}
+    entries, rows = [], []
+    for rnd, component, _, cum in ledger.rows():
+        entries.append({"round": rnd, "component": component, "epsilon": text[component]})
+        rows.append([rnd, component, text[component], frac_str(cum)])
     doc = {
         "family": fam.descriptor(),
         "qkd_rounds": args.r,
         "auths_per_round": args.rounds,
-        "qkd_eps": frac_str(eps_prime),
+        "qkd_eps": text["qkd"],
         "bound": frac_str(bound),
-        "ledger": [
-            {"round": e.round, "component": e.component, "epsilon": frac_str(e.epsilon)}
-            for e in ledger.entries
-        ],
+        "ledger": entries,
     }
-    rows = [[e.round, e.component, frac_str(e.epsilon), frac_str(cum)]
-            for e, cum in zip(ledger.entries, ledger.cumulative())]
     rows.append(["", "total-bound", doc["bound"], doc["bound"]])
     if args.simulate:
         doc["simulated_distance"] = simulated

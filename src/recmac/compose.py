@@ -4,14 +4,14 @@ A run consists of r key-generation rounds; each round refreshes the pad
 supply (modeled as an ideal functionality that is simply *declared* to be
 eps'-close to ideal; nothing quantum is simulated here) and then performs
 l authenticated transmissions that keep recycling the same hash key k1.
-Failure probabilities compose additively, so the ledger holds one entry per
+Failure probabilities compose additively, so the ledger reads one entry per
 component and the total is exactly
 
     r * (l * eps + eps')
 
-where eps is the measured two-point bound of the family.  The ledger never
-does anything cleverer than that sum; its value is that the exact multi-round
-simulation below can be held against it.
+where eps is the measured two-point bound of the family.  The ledger is that
+closed form: it keeps r, l, eps and eps' and lists its entries on demand.  Its
+value is that the exact multi-round simulation below can be held against it.
 
 simulate_composition() computes the exact distance between the multi-round
 real execution (one k1 throughout, fresh uniform pads per round, the
@@ -36,6 +36,7 @@ honest; in the ideal world it substitutes for as long as it has candidates.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import (BudgetExceeded, DomainError, Record, VerificationFailed, DEFAULT_BUDGET,
                      check_budget)
@@ -60,28 +61,43 @@ class ToyQkdFunctionality(Record):
             raise DomainError("eps_prime must be a probability")
 
 
-class LedgerEntry(Record):
-    __slots__ = ("round", "component", "epsilon")
-    round: int        # key-generation round, 1-based
-    component: str    # "auth" or "qkd"
-    epsilon: Fraction
-
-
 class ErrorLedger(Record):
-    __slots__ = ("entries",)
-    entries: tuple[LedgerEntry, ...]
+    """The ledger of r key-generation rounds of l authentications each.
+
+    Each round reads eps' for the key source, then eps per authentication.
+    No entry is stored: rows() yields them with their running sum.
+    """
+
+    __slots__ = ("qkd_rounds", "auths_per_round", "epsilon", "eps_prime")
+    qkd_rounds: int
+    auths_per_round: int
+    epsilon: Fraction
+    eps_prime: Fraction
 
     @property
     def total(self) -> Fraction:
-        return sum((e.epsilon for e in self.entries), Fraction(0))
+        return self.qkd_rounds * (self.auths_per_round * self.epsilon + self.eps_prime)
 
-    def cumulative(self) -> list[Fraction]:
+    def rows(self) -> Iterator[tuple[int, str, Fraction, Fraction]]:
+        """(round, component, epsilon, cumulative) per entry, in ledger order.
+
+        Raises VerificationFailed once the last entry is out if the running sum
+        misses the closed form.
+        """
         acc = Fraction(0)
-        out = []
-        for e in self.entries:
-            acc += e.epsilon
-            out.append(acc)
-        return out
+        for r in range(1, self.qkd_rounds + 1):
+            acc += self.eps_prime
+            yield r, "qkd", self.eps_prime, acc
+            for _ in range(self.auths_per_round):
+                acc += self.epsilon
+                yield r, "auth", self.epsilon, acc
+        if acc != self.total:
+            raise VerificationFailed(f"ledger sums to {acc}, closed form gives {self.total}")
+
+
+def _check_rounds(qkd_rounds: int, auths_per_round: int) -> None:
+    if qkd_rounds < 1 or auths_per_round < 1:
+        raise DomainError("need at least one round of each kind")
 
 
 def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
@@ -89,22 +105,14 @@ def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
                    budget: int = DEFAULT_BUDGET) -> tuple[ErrorLedger, Fraction]:
     """The additive ledger and its closed-form total r*(l*eps + eps').
 
-    Its r*(l + 1) entries are counted against the budget before any is built.
+    Its r*(l + 1) rows, which the CLI renders, are counted against the budget
+    before eps is measured.
     """
-    if qkd_rounds < 1 or auths_per_round < 1:
-        raise DomainError("need at least one round of each kind")
+    _check_rounds(qkd_rounds, auths_per_round)
     check_budget(qkd_rounds * (auths_per_round + 1), budget, "error ledger")
-    eps = measure_axu2(fam, budget=budget).epsilon
-    entries = []
-    for r in range(1, qkd_rounds + 1):
-        entries.append(LedgerEntry(r, "qkd", qkd.eps_prime))
-        for _ in range(auths_per_round):
-            entries.append(LedgerEntry(r, "auth", eps))
-    ledger = ErrorLedger(tuple(entries))
-    bound = qkd_rounds * (auths_per_round * eps + qkd.eps_prime)
-    if ledger.total != bound:
-        raise VerificationFailed(f"ledger sums to {ledger.total}, closed form gives {bound}")
-    return ledger, bound
+    ledger = ErrorLedger(qkd_rounds, auths_per_round, measure_axu2(fam, budget=budget).epsilon,
+                         qkd.eps_prime)
+    return ledger, ledger.total
 
 
 def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
@@ -123,8 +131,7 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
     """
     if env not in (LIST_ELIMINATION, IDENTITY):
         raise DomainError(f"unknown environment {env!r}")
-    if qkd_rounds < 1 or auths_per_round < 1:
-        raise DomainError("need at least one round of each kind")
+    _check_rounds(qkd_rounds, auths_per_round)
     n = qkd_rounds * auths_per_round
     if fam.tag_bits * n >= budget.bit_length():
         raise BudgetExceeded(f"multi-round outcome space needs {fam.key_count}*{fam.tag_count}^{n}"

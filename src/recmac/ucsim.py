@@ -257,27 +257,22 @@ class EnvStrategy(Record):
         return self.subst.get(y, y)
 
 
-def _key_count(fam_or_proto, recycle: bool) -> int:
-    """Keys of the protocol on fam_or_proto; a family's are counted, not built."""
-    if isinstance(fam_or_proto, HashFamily):
-        return fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
-    return len(as_protocol(fam_or_proto).keys())
+def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
+              cells) -> tuple[AuthProtocol, list]:
+    """The protocol on fam_or_proto and its keys, built once cells(target, |keys|) fits.
 
-
-def _run_protocol(fam_or_proto, env: EnvStrategy, recycle: bool,
-                  budget: int) -> tuple[AuthProtocol, list]:
-    """The protocol a run executes on and its keys, built once the run is admitted.
-
-    On a family the work counted includes the K x |X| tag table, cached or
-    not, so whether a run is refused never depends on an earlier call.
+    A family's keys are counted from its sizes, so a refused family builds no
+    tag table and no keys; a protocol's keys are built once, then counted.
     """
-    support = 1 if env.mode == IMPERSONATION else len(env.msg_dist)
-    work = support * _key_count(fam_or_proto, recycle)
     if isinstance(fam_or_proto, HashFamily):
-        work += fam_or_proto.key_count * len(fam_or_proto.messages)
-    check_budget(work, budget, "run")
-    proto = as_protocol(fam_or_proto, recycle, budget)
-    return proto, list(proto.keys())
+        nkeys = fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
+        check_budget(cells(fam_or_proto, nkeys), budget, what)
+        proto = WcProtocol(fam_or_proto, recycle, budget)
+        return proto, proto.keys()
+    proto = as_protocol(fam_or_proto)
+    keys = list(proto.keys())
+    check_budget(cells(proto, len(keys)), budget, what)
+    return proto, keys
 
 
 def _y_groups(proto: AuthProtocol, keys: list, x) -> list[tuple[tuple, list]]:
@@ -312,7 +307,11 @@ def _runs(fam_or_proto, env: EnvStrategy, recycle: bool, budget: int) -> tuple[D
     Each world counts integers over its own denominator.  Without recycling
     k1 is always None, so it is not counted.
     """
-    proto, keys = _run_protocol(fam_or_proto, env, recycle, budget)
+    # on a family the work includes the K x |X| tag table, cached or not, so
+    # whether a run is refused never depends on an earlier call
+    support = 1 if env.mode == IMPERSONATION else len(env.msg_dist)
+    proto, keys = _admitted(fam_or_proto, recycle, budget, "run", lambda t, nkeys: (
+        support * nkeys + (t.key_count * len(t.messages) if isinstance(t, HashFamily) else 0)))
     fields, denom, deliveries = _deliveries(proto, env, keys)
     if proto.recycles:
         rec = [(proto.recycled(key),) for key in keys]
@@ -359,24 +358,11 @@ def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,
     return uc_distance(fam_or_proto, EnvStrategy.impersonate(wire), recycle, budget)
 
 
-def _search_budget(fam_or_proto, recycle: bool,
-                  budget: int) -> tuple[AuthProtocol, list, list]:
-    """The protocol a worst-case search runs on, its keys and wire values.
-
-    For a family the work is counted from its sizes before the tag table and
-    the key list are built, so a refused search builds neither.
-    """
-    nkeys = _key_count(fam_or_proto, recycle)
-    nx = len(fam_or_proto.messages)
-    if isinstance(fam_or_proto, HashFamily):
-        wire = None
-        nwire = nx * fam_or_proto.tag_count
-    else:
-        wire = fam_or_proto.wire_values()
-        nwire = len(wire)
-    check_budget(nx * nkeys * (1 + nwire), budget, "worst-case search")
-    proto = as_protocol(fam_or_proto, recycle, budget)
-    return proto, list(proto.keys()), proto.wire_values() if wire is None else wire
+def _search_cells(target, nkeys: int) -> int:
+    """|X| * |keys| * (1 + |wire|); a family's wire messages are counted, not built."""
+    nx = len(target.messages)
+    return nx * nkeys * (1 + (nx * target.tag_count if isinstance(target, HashFamily)
+                              else len(target.wire_values())))
 
 
 def _mask(flags) -> int:
@@ -437,7 +423,8 @@ def _search(fam_or_proto, recycle: bool, budget: int, substitution: bool = True,
     and, for impersonation, one more group of all keys that no wire reaches
     unmodified.
     """
-    proto, keys, wire = _search_budget(fam_or_proto, recycle, budget)
+    proto, keys = _admitted(fam_or_proto, recycle, budget, "worst-case search", _search_cells)
+    wire = proto.wire_values()
     rec = [proto.recycled(key) for key in keys]
     nr = len(proto.recycled_values()) if proto.recycles else 1
     groups = []  # (x, y, the group of keys sending y on x), y ascending per x

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,3 +634,21 @@ def test_stdout_is_pinned(tmp_path, monkeypatch, command, digest):
     code, out, err = call_main(command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_output(command: str) -> str:
+    """The text README.md shows under `$ recmac <command>`, up to the blank line."""
+    text = README.read_text()
+    start = text.index(f"$ recmac {command}\n") + len(f"$ recmac {command}\n")
+    return text[start:text.index("\n\n", start) + 1]
+
+
+@pytest.mark.parametrize("command", [
+    "epsilon --family mul:m=3",
+    "attack --family mul:m=2 --rounds 2 --format csv",
+])
+def test_readme_examples_show_the_real_stdout(command):
+    assert call_main(command.split()) == (0, readme_output(command), "")

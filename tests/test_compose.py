@@ -1,5 +1,7 @@
 """Multi-round error ledger and the exact composed simulation."""
 
+import inspect
+import itertools
 import os
 import random
 import subprocess
@@ -18,7 +20,6 @@ from recmac import (
     ErrorLedger,
     IDENTITY,
     LIST_ELIMINATION,
-    LedgerEntry,
     MulFamily,
     PolyFamily,
     TableFamily,
@@ -45,13 +46,15 @@ def test_ledger_frozen_example():
 def test_ledger_structure():
     qkd = ToyQkdFunctionality(4, F(1, 10))
     ledger, bound = compose_ledger(MulFamily(2), 2, 3, qkd)
-    assert len(ledger.entries) == 2 * (3 + 1)
+    assert ledger == ErrorLedger(2, 3, F(1, 4), F(1, 10))
+    rows = list(ledger.rows())
+    assert len(rows) == 2 * (3 + 1)
     for r in (1, 2):
-        per_round = [e for e in ledger.entries if e.round == r]
-        assert [e.component for e in per_round] == ["qkd", "auth", "auth", "auth"]
-        assert per_round[0].epsilon == F(1, 10)
-        assert all(e.epsilon == F(1, 4) for e in per_round[1:])
-    cum = ledger.cumulative()
+        per_round = [row for row in rows if row[0] == r]
+        assert [row[1] for row in per_round] == ["qkd", "auth", "auth", "auth"]
+        assert per_round[0][2] == F(1, 10)
+        assert all(row[2] == F(1, 4) for row in per_round[1:])
+    cum = [row[3] for row in rows]
     assert cum == sorted(cum)
     assert cum[-1] == ledger.total == bound
 
@@ -70,13 +73,19 @@ def test_ledger_closed_form_randomized():
         eps = measure_axu2(fam).epsilon
         assert bound == r * (l * eps + eps_prime)
         assert ledger.total == bound
-        assert len(ledger.entries) == r * (l + 1)
+        rows = list(ledger.rows())
+        assert len(rows) == r * (l + 1)
+        assert rows[-1][3] == bound
 
 
 def test_ledger_raises_when_entries_miss_the_closed_form(monkeypatch):
+    ledger, _ = compose_ledger(MulFamily(2), 1, 1, ToyQkdFunctionality(2, F(1, 10)))
     monkeypatch.setattr(ErrorLedger, "total", property(lambda self: F(0)))
-    with pytest.raises(VerificationFailed):
-        compose_ledger(MulFamily(2), 1, 1, ToyQkdFunctionality(2, F(0)))
+    rows = ledger.rows()
+    assert list(itertools.islice(rows, 2)) == \
+        [(1, "qkd", F(1, 10), F(1, 10)), (1, "auth", F(1, 4), F(7, 20))]
+    with pytest.raises(VerificationFailed, match="ledger sums to 7/20, closed form gives 0"):
+        next(rows)
 
 
 def test_qkd_functionality_validation():
@@ -143,11 +152,92 @@ def test_simulation_refusal_line_at_the_bit_length_gate():
     assert str(refused.value) == "multi-round outcome space needs 256 cells, budget is 64"
 
 
-def test_ledger_entry_container():
-    entries = (LedgerEntry(1, "qkd", F(1, 10)), LedgerEntry(1, "auth", F(1, 4)))
-    led = ErrorLedger(entries)
+def test_ledger_holds_four_numbers():
+    led = ErrorLedger(qkd_rounds=1, auths_per_round=1, epsilon=F(1, 4), eps_prime=F(1, 10))
     assert led.total == F(7, 20)
-    assert led.cumulative() == [F(1, 10), F(7, 20)]
+    assert [row[3] for row in led.rows()] == [F(1, 10), F(7, 20)]
+
+
+def test_ledger_rows_are_built_on_demand():
+    # checked first, so a ledger that stores its rows fails here instead of
+    # hanging on the 10**12 rows below
+    assert ErrorLedger.__slots__ == ("qkd_rounds", "auths_per_round", "epsilon", "eps_prime")
+    assert inspect.isgeneratorfunction(ErrorLedger.rows)
+    qkd = ToyQkdFunctionality(2, F(1, 10))
+    ledger, bound = compose_ledger(MulFamily(2), 10**6, 10**6, qkd, budget=10**13)
+    assert bound == ledger.total == 10**6 * (10**6 * F(1, 4) + F(1, 10))
+    assert list(itertools.islice(ledger.rows(), 3)) == [
+        (1, "qkd", F(1, 10), F(1, 10)),
+        (1, "auth", F(1, 4), F(7, 20)),
+        (1, "auth", F(1, 4), F(3, 5)),
+    ]
+
+
+# the full stdout of two compose runs, recorded before the ledger kept only its
+# closed form
+COMPOSE_CSV = """\
+round,component,epsilon,cumulative
+1,qkd,1/50,1/50
+1,auth,1/4,27/100
+1,auth,1/4,13/25
+2,qkd,1/50,27/50
+2,auth,1/4,79/100
+2,auth,1/4,26/25
+,total-bound,26/25,26/25
+,simulated-distance,1/1,1/1
+"""
+
+COMPOSE_JSON = """\
+{
+  "auths_per_round": 1,
+  "bound": "3/8",
+  "family": "mul:m=3",
+  "ledger": [
+    {
+      "component": "qkd",
+      "epsilon": "0/1",
+      "round": 1
+    },
+    {
+      "component": "auth",
+      "epsilon": "1/8",
+      "round": 1
+    },
+    {
+      "component": "qkd",
+      "epsilon": "0/1",
+      "round": 2
+    },
+    {
+      "component": "auth",
+      "epsilon": "1/8",
+      "round": 2
+    },
+    {
+      "component": "qkd",
+      "epsilon": "0/1",
+      "round": 3
+    },
+    {
+      "component": "auth",
+      "epsilon": "1/8",
+      "round": 3
+    }
+  ],
+  "qkd_eps": "0/1",
+  "qkd_rounds": 3
+}
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--family", "mul:m=2", "--r", "2", "--rounds", "2", "--qkd-eps", "1/50", "--simulate"],
+     COMPOSE_CSV),
+    (["--family", "mul:m=3", "--r", "3", "--rounds", "1", "--format", "json"], COMPOSE_JSON),
+], ids=["csv-simulate", "json"])
+def test_compose_stdout_is_the_recorded_bytes(capsys, argv, expected):
+    assert cli_main(["compose", *argv]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # -- the simulation against the explicit-pad oracle -----------------------------
@@ -242,7 +332,7 @@ def test_compose_simulate_far_over_budget_is_one_short_refusal_line(capsys, roun
 def test_ledger_budget_counts_its_entries(capsys):
     qkd = ToyQkdFunctionality(2, F(0))
     ledger, _ = compose_ledger(MulFamily(1), 2, 2, qkd, budget=6)
-    assert len(ledger.entries) == 6
+    assert len(list(ledger.rows())) == 6
     with pytest.raises(BudgetExceeded, match="error ledger needs 6 cells, budget is 5"):
         compose_ledger(MulFamily(1), 2, 2, qkd, budget=5)
     assert cli_main(["compose", "--family", "mul:m=1", "--r", "2", "--rounds", "2",
@@ -279,9 +369,8 @@ def test_composition_budget_script_runs():
 
 @pytest.mark.parametrize("cls, fields, changed", [
     (ToyQkdFunctionality, {"out_bits": 4, "eps_prime": F(1, 10)}, ("out_bits", 5)),
-    (LedgerEntry, {"round": 1, "component": "auth", "epsilon": F(1, 4)},
-     ("component", "qkd")),
-    (ErrorLedger, {"entries": (LedgerEntry(1, "qkd", F(0)),)}, ("entries", ())),
-], ids=["ToyQkdFunctionality", "LedgerEntry", "ErrorLedger"])
+    (ErrorLedger, {"qkd_rounds": 2, "auths_per_round": 3, "epsilon": F(1, 4),
+                   "eps_prime": F(1, 10)}, ("auths_per_round", 4)),
+], ids=["ToyQkdFunctionality", "ErrorLedger"])
 def test_value_classes_keep_the_frozen_dataclass_contract(cls, fields, changed):
     record_contract(cls, fields, changed)

@@ -195,8 +195,7 @@ def test_value_classes_are_records_with_annotated_slots():
     found = record_classes()
     assert sorted(found) == sorted([
         "Measurement", "SampledMeasurement", "ExactEntropy", "Transcript", "AttackReport",
-        "MonteCarloReport", "ToyQkdFunctionality", "LedgerEntry", "ErrorLedger",
-        "EnvStrategy"])
+        "MonteCarloReport", "ToyQkdFunctionality", "ErrorLedger", "EnvStrategy"])
     assert {name: slots for name, (slots, annotated) in found.items()
             if slots != annotated} == {}
 
