@@ -62,7 +62,25 @@ def strategy_json(env: ucsim.EnvStrategy) -> dict:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) and a newline, for str keys only.
+
+    The indenting encoder is pure Python, so every list of scalars goes
+    through the C encoder instead, its line break and indent carried in the
+    item separator.
+    """
+    def dump(v, pad: str) -> str:
+        inner = pad + "  "
+        if isinstance(v, dict) and v:
+            items = [f"{json.dumps(k)}: {dump(v[k], inner)}" for k in sorted(v)]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if isinstance(v, (list, tuple)) and v:
+            if any(isinstance(i, (dict, list, tuple)) for i in v):
+                body = (",\n" + inner).join(dump(i, inner) for i in v)
+            else:
+                body = json.dumps(v, separators=(",\n" + inner, ": "))[1:-1]
+            return "[\n" + inner + body + "\n" + pad + "]"
+        return json.dumps(v)
+    return dump(obj, "") + "\n"
 
 
 def _dump_csv(header: list[str], rows) -> str:
@@ -274,7 +292,7 @@ def cmd_fieldtab(args, fam):
     field = fam.field
     if field.m > 8:
         raise BudgetExceeded("full multiplication tables are emitted for m <= 8 only")
-    mul = [[field.mul(a, b) for b in field.elements()] for a in field.elements()]
+    mul = [field.mul_row(a) for a in field.elements()]
     return {"m": field.m, "modulus": field.modulus, "mul": mul}, ["a", "b", "product"], \
         ([a, b, p] for a, row in enumerate(mul) for b, p in enumerate(row))
 

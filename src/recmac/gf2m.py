@@ -140,6 +140,15 @@ class FieldCtx:
         n = self.order - 1
         return self._exp[(self._log[a] + self._log[b]) % n]
 
+    def mul_row(self, a: int) -> list[int]:
+        """[mul(a, b) for b in elements()], read from the log/antilog tables in one pass."""
+        if self.check(a) == 0:
+            return [0] * self.order
+        self._ensure_tables()
+        la = self._log[a]
+        rotated = self._exp[la:] + self._exp[:la]   # rotated[i] = a * g^i
+        return [0, *map(rotated.__getitem__, self._log[1:])]
+
     def pow(self, a: int, e: int) -> int:
         self.check(a)
         if e < 0:

@@ -25,34 +25,29 @@ independently.  Ties break toward the earliest candidate in canonical order
 (messages in family order, tags ascending), and identity is kept wherever no
 substitution gains anything.
 
-Both searches count keys with integer bitmasks through one kernel
-(_tv_numerator) and build a single Fraction at the end.  The kernel rests on
-an identity.  Take a y-group of n keys and nr recycled values, and let m_r be
-the number of keys with recycled value r whose real verdict equals the ideal
-one, out0.  The real world puts m_r/n on each (out0, r), the ideal world 1/nr,
-and every other real cell has no ideal mass, so 2*n*nr times the distance is
-
-    2 * (n*nr - sum_r min(nr*m_r, n)).
-
-A recycled value that occurs at most n/nr times in the group has
-nr*m_r <= n, so the terms of all such values sum to nr times the popcount of
-the agreeing keys among them.  Only a value that occurs more often ("saturating") keeps its own
-mask and adds min(nr*popcount, n).  The shipped protocols never saturate:
-without recycling nr = 1, and with recycling the pad is fixed once k1 and y
-are known, so each k1 occurs once in a group of n = nr = |K1| keys.
+Within a y-group only the verdicts differ between the worlds.  Without
+recycling there is no k1 column.  With recycling the pad is fixed once k1 and
+y are known, so a y-group holds each k1 exactly once: given the tagged
+message k1 is uniform, as in the ideal world (Wegman & Carter 1981; Portmann
+2012, arXiv:1202.1229).  Either way TV(real | y, ideal | y) is the share of
+the group's keys whose verdict is not the ideal receiver's, so the worst case
+is sum_y max_yp (that count) / |keys|.  Both searches count those keys with
+integer bitmasks and build a single Fraction at the end.  A recycling
+protocol other than WcProtocol need not hold each recycled value equally
+often in a y-group, so the search refuses it; the runs below stay general.
 
 One private search serves all three public ones.  The receiver's verdict
 depends on the key and the delivered wire message only, so each wire value
-gets one verdicts() call for all keys, turned into a mask of the rejecting
+gets one verdicts() call for all keys, turned into a mask of the accepting
 keys that every observed y shares; a group that sent the wire unmodified
-instead counts the keys whose verdict is its own message.  Impersonation is
-one more group in the same loop: all keys, never reached unmodified, so
-out0 = None.  Each witness is re-run through uc_distance and
-VerificationFailed is raised unless the numbers agree, so a reported maximum
-never rests on the decomposition or the kernel alone.  run_real, run_ideal
-and uc_distance share one pass that builds the protocol, the keys and the
-(x, y-group) deliveries once, takes verdicts() per group and counts both
-worlds in integers, each over the one denominator its Dist keeps.
+instead counts the keys whose verdict is not its own message.  Impersonation
+is one more group in the same loop: all keys, never reached unmodified.  Each
+witness is re-run through uc_distance and VerificationFailed is raised unless
+the numbers agree, so a reported maximum never rests on the decomposition or
+the count alone.  run_real, run_ideal and uc_distance share one pass that
+builds the protocol, the keys and the (x, y-group) deliveries once, takes
+verdicts() per group and counts both worlds in integers, each over the one
+denominator its Dist keeps.
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ def _split_wire(fam: HashFamily, wire) -> tuple:
 
 
 class AuthProtocol:
-    """One-round protocol interface; a protocol defines receive, verdicts or both."""
+    """One-round protocol interface; a protocol defines verdicts, and receive is one key's."""
 
     messages: Sequence
     recycles: bool = False
@@ -97,13 +92,13 @@ class AuthProtocol:
     def encode(self, key, x) -> tuple:
         raise NotImplementedError
 
+    def verdicts(self, keys: Sequence, wire: tuple) -> list:
+        """The message each of `keys` accepts for the wire input, or None, in order."""
+        raise NotImplementedError
+
     def receive(self, key, wire: tuple):
         """Message accepted under `key` for the wire input, or None."""
         return self.verdicts([key], wire)[0]
-
-    def verdicts(self, keys: Sequence, wire: tuple) -> list:
-        """receive(key, wire) for each of `keys`, in order."""
-        return [self.receive(key, wire) for key in keys]
 
     def recycled(self, key) -> Optional[int]:
         return None
@@ -201,6 +196,8 @@ class CounterexampleProtocol(AuthProtocol):
 def as_protocol(fam_or_proto, recycle: bool = False,
                 budget: int = DEFAULT_BUDGET) -> AuthProtocol:
     if isinstance(fam_or_proto, AuthProtocol):
+        if recycle:
+            raise DomainError("recycle applies to a family; a protocol carries its own mode")
         return fam_or_proto
     if isinstance(fam_or_proto, HashFamily):
         return WcProtocol(fam_or_proto, recycle, budget)
@@ -262,14 +259,15 @@ def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
     """The protocol on fam_or_proto and its keys, built once cells(target, |keys|) fits.
 
     A family's keys are counted from its sizes, so a refused family builds no
-    tag table and no keys; a protocol's keys are built once, then counted.
+    tag table and no keys; a protocol's keys are built once, then counted.  A
+    protocol carries its own mode, so `recycle` is a DomainError on one.
     """
     if isinstance(fam_or_proto, HashFamily):
         nkeys = fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
         check_budget(cells(fam_or_proto, nkeys), budget, what)
         proto = WcProtocol(fam_or_proto, recycle, budget)
         return proto, proto.keys()
-    proto = as_protocol(fam_or_proto)
+    proto = as_protocol(fam_or_proto, recycle)
     keys = list(proto.keys())
     check_budget(cells(proto, len(keys)), budget, what)
     return proto, keys
@@ -365,44 +363,9 @@ def _search_cells(target, nkeys: int) -> int:
                               else len(target.wire_values())))
 
 
-def _mask(flags) -> int:
-    """The bitmask with bit i set iff flags[i] is true."""
-    return int("".join(["1" if f else "0" for f in flags])[::-1], 2)
-
-
-def _group(idx, rec: list, nr: int) -> tuple[int, int, tuple]:
-    """(n, plain, saturating) for a group of n key indices.
-
-    Keys whose recycled value occurs at most n/nr times in the group are set
-    in `plain`; each value that occurs more often keeps its own mask in
-    `saturating`.
-    """
-    by_r: dict = defaultdict(int)
-    for i in idx:
-        by_r[rec[i]] |= 1 << i
-    n = len(idx)
-    plain, saturating = 0, []
-    for m in by_r.values():
-        if nr * m.bit_count() > n:
-            saturating.append(m)
-        else:
-            plain |= m
-    return n, plain, tuple(saturating)
-
-
-def _tv_numerator(agree: int, group: tuple[int, int, tuple], nr: int) -> int:
-    """2*n*nr times the TV distance between the two worlds' (out, k1) laws.
-
-    `agree` masks the keys whose real verdict equals the ideal one, out0.  The
-    ideal world puts 1/nr on each (out0, k1); with m_r keys of recycled value
-    r agreeing, the distance sum is 2*(n*nr - sum_r min(nr*m_r, n)) (module
-    docstring), and min(nr*m_r, n) = nr*m_r off the saturating values.
-    """
-    n, plain, saturating = group
-    total = n * nr - nr * (agree & plain).bit_count()
-    for m in saturating:
-        total -= min(nr * (agree & m).bit_count(), n)
-    return 2 * total
+def _disagreeing(verdicts: list, out0) -> int:
+    """The bitmask of the keys whose verdict is not out0, key i at bit i."""
+    return int("".join(["0" if v == out0 else "1" for v in verdicts])[::-1], 2)
 
 
 def _verified(proto: AuthProtocol, d: Fraction, env: EnvStrategy,
@@ -421,32 +384,31 @@ def _search(fam_or_proto, recycle: bool, budget: int, substitution: bool = True,
 
     One verdicts() call per wire value scores every y-group of every message
     and, for impersonation, one more group of all keys that no wire reaches
-    unmodified.
+    unmodified.  A group scores the keys whose verdict is not the ideal one.
     """
     proto, keys = _admitted(fam_or_proto, recycle, budget, "worst-case search", _search_cells)
-    wire = proto.wire_values()
-    rec = [proto.recycled(key) for key in keys]
-    nr = len(proto.recycled_values()) if proto.recycles else 1
-    groups = []  # (x, y, the group of keys sending y on x), y ascending per x
+    if proto.recycles and not isinstance(proto, WcProtocol):
+        raise DomainError("the worst-case search needs each recycled value once per "
+                          "y-group, which only WcProtocol guarantees")
+    groups = []  # (x, y, the mask of the keys sending y on x), y ascending per x
     spans = []   # (x, its first group, the group after its last)
     for x in proto.messages if substitution else ():
         lo = len(groups)
-        groups.extend((x, y, _group(idx, rec, nr)) for y, idx in _y_groups(proto, keys, x))
+        groups.extend((x, y, sum(1 << i for i in idx)) for y, idx in _y_groups(proto, keys, x))
         spans.append((x, lo, len(groups)))
     best = [0] * len(groups)  # identity is kept wherever no substitution gains
-    if impersonation:  # y = None is never delivered unmodified, so out0 = None
-        groups.append((None, None, _group(range(len(keys)), rec, nr)))
+    if impersonation:  # y = None is never delivered unmodified
+        groups.append((None, None, (1 << len(keys)) - 1))
         best.append(-1)
     best_yp: list = [None] * len(groups)
-    for yp in wire:
+    for yp in proto.wire_values():
         verdicts = proto.verdicts(keys, yp)
-        rejected = _mask([v is None for v in verdicts])
+        accepted = _disagreeing(verdicts, None)
         for g, (x, y, group) in enumerate(groups):
             # the ideal receiver outputs x on unmodified delivery, else None
-            agree = _mask([v == x for v in verdicts]) if yp == y else rejected
-            num = _tv_numerator(agree, group, nr)
-            if num > best[g]:
-                best[g], best_yp[g] = num, yp
+            count = ((_disagreeing(verdicts, x) if yp == y else accepted) & group).bit_count()
+            if count > best[g]:
+                best[g], best_yp[g] = count, yp
     best_total = best_env = None
     for x, lo, hi in spans:
         total = sum(best[lo:hi])
@@ -457,9 +419,7 @@ def _search(fam_or_proto, recycle: bool, budget: int, substitution: bool = True,
     found = [(best_total, best_env)] if substitution else []
     if impersonation:
         found.append((best[-1], EnvStrategy.impersonate(best_yp[-1])))
-    # group numerators share the denominator 2*|keys|*nr: P(y) = n/|keys|
-    denom = 2 * len(keys) * nr
-    return [_verified(proto, Fraction(num, denom), env, budget) for num, env in found]
+    return [_verified(proto, Fraction(count, len(keys)), env, budget) for count, env in found]
 
 
 def worst_case_substitution(fam_or_proto, recycle: bool = False,
@@ -478,8 +438,8 @@ def worst_case_impersonation(fam_or_proto, recycle: bool = False,
                              budget: int = DEFAULT_BUDGET) -> tuple[Fraction, EnvStrategy]:
     """Maximal distance over all injectable wire messages.
 
-    The ideal receiver rejects every injection, so the kernel takes one group
-    of all keys, with out0 = None.
+    The ideal receiver rejects every injection, so the search counts the
+    accepting keys of one group of all keys.
     """
     return _search(fam_or_proto, recycle, budget, substitution=False)[0]
 

@@ -176,6 +176,35 @@ def sample_axu2_oracle(fam, pairs: int, seed: int) -> tuple[Fraction, tuple | No
     return Fraction(best, fam.key_count), witness
 
 
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of bit vectors given as ints, by elimination on leading bits."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def linear_axu2_oracle(fam) -> tuple[Fraction, tuple]:
+    """(epsilon, witness) of the XOR bound by rank-nullity, without enumerating keys.
+
+    For a family GF(2)-linear in the key bits and in the message, k -> h_k(d)
+    is a linear map M_d whose column j is h at the j-th key bit.  Each tag in
+    its image, 0 among them, has 2^(key_bits - rank M_d) preimages, so
+    epsilon = 2^-min_d rank M_d, witnessed by (x0, x_d*, 0), where d* is the
+    least d of least rank.
+    """
+    msgs = list(fam.messages)
+    key_bits = (fam.key_count - 1).bit_length()
+    rank, d = min((gf2_rank(fam.tag(1 << j, msgs[d]) for j in range(key_bits)), d)
+                  for d in range(1, len(msgs)))
+    return Fraction(1, 1 << rank), (msgs[0], msgs[d], 0)
+
+
 # -- real/ideal distance oracle -----------------------------------------------
 #
 # Counting version of the one-round game for hash-family protocols, kept in

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recmac import EnvStrategy, parse_family, uc_distance
-from recmac.cli import main
+from recmac.cli import _dump_json, main
 
 
 def run_main(*args, out=None):
@@ -158,6 +158,19 @@ def test_fieldtab(tmp_path):
     assert lines[0] == "a,b,product"
     assert len(lines) == 17
     assert "2,2,3" in lines
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=JSON_DOCS)
+def test_json_output_is_the_indenting_encoders(doc):
+    # every document key is a str, so sorting the keys sorts them as json does
+    assert _dump_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_exit_codes(tmp_path, capsys):

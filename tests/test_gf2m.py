@@ -24,6 +24,16 @@ def test_mul_matches_schoolbook_exhaustively_small():
                 assert f.mul(a, b) == gf_mul_oracle(a, b, f.modulus)
 
 
+def test_mul_row_is_mul_on_every_element():
+    # rows start before any mul has built the tables, and the degree-8 modulus
+    # is one whose x does not generate the multiplicative group
+    for f in [FieldCtx(m) for m in range(1, 9)] + [FieldCtx(4, 0b11001)]:
+        for a in f.elements():
+            assert f.mul_row(a) == [gf_mul_oracle(a, b, f.modulus) for b in f.elements()]
+    with pytest.raises(DomainError):
+        FieldCtx(3).mul_row(8)
+
+
 def test_gf2_multiplies_through_its_tables():
     # the generator scan starts at 1, which generates GF(2)'s one-element group
     f = FieldCtx(1)

@@ -31,8 +31,8 @@ from recmac import (
 )
 
 from conftest import (
-    asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle, record_contract,
-    sample_axu2_oracle,
+    asu2_oracle, asu2_witness_oracle, axu2_oracle, axu2_witness_oracle, linear_axu2_oracle,
+    record_contract, sample_axu2_oracle,
 )
 
 SMALL_FAMILIES = [
@@ -82,6 +82,19 @@ def test_toeplitz_axu2_frozen():
 def test_counterexample_axu2_frozen():
     for m in (2, 3, 4):
         assert measure_axu2(CounterexampleFamily(m)).epsilon == F(1, 2 ** m - 1)
+
+
+KEY_LINEAR_FAMILIES = (
+    [MulFamily(m) for m in range(1, 11)]
+    + [ToeplitzFamily(n, m) for n, m in ((3, 2), (4, 3), (6, 6), (8, 4), (5, 7), (10, 3))]
+    + [PolyFamily(m, 2) for m in range(2, 6)])
+
+
+@pytest.mark.parametrize("fam", KEY_LINEAR_FAMILIES, ids=lambda f: f.descriptor())
+def test_axu2_equals_the_rank_of_the_key_map(fam):
+    # mul, Toeplitz and poly with L <= 2 are linear in the key bits too (k -> k^2 is)
+    m = measure_axu2(fam)
+    assert (m.epsilon, m.witness) == linear_axu2_oracle(fam)
 
 
 def test_single_message_family_is_trivially_safe():

@@ -86,13 +86,13 @@ def test_ucsim_builds_no_counter():
 
 def test_both_searches_count_through_the_one_kernel():
     found = calls_by_function(UCSIM)
-    callers = {name for name, calls in found.items() if "_tv_numerator" in calls}
+    callers = {name for name, calls in found.items() if "_disagreeing" in calls}
     assert callers == {"_search"}
     searches = {name for name, calls in found.items() if "_search" in calls}
     assert searches == {"worst_case_substitution", "worst_case_impersonation",
                         "worst_case_distance"}
     popcounts = {name for name, calls in found.items() if "bit_count" in calls}
-    assert popcounts == {"_tv_numerator", "_group"}
+    assert popcounts == {"_search"}
 
 
 def test_runs_count_in_integers_over_one_pass():
@@ -107,18 +107,12 @@ def test_runs_count_in_integers_over_one_pass():
     assert "Fraction" not in dist["project"]
 
 
-def test_only_the_default_verdicts_calls_receive():
+def test_nothing_in_ucsim_calls_receive():
     # every run and search asks verdicts() for a whole key group, so a
     # protocol's one wire check is the only way to its receiver
     tree = ast.parse(UCSIM.read_text(encoding="utf-8"))
-    owner = {fn: f"{cls.name}.{fn.name}" for cls in ast.walk(tree)
-             if isinstance(cls, ast.ClassDef) for fn in cls.body
-             if isinstance(fn, ast.FunctionDef)}
-    callers = {owner.get(fn, fn.name) for fn in ast.walk(tree)
-               if isinstance(fn, ast.FunctionDef) for c in ast.walk(fn)
-               if isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
-               and c.func.attr == "receive"}
-    assert callers == {"AuthProtocol.verdicts"}
+    assert not [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+                and isinstance(c.func, ast.Attribute) and c.func.attr == "receive"]
 
 
 def test_only_the_base_family_encodes_messages():

@@ -243,13 +243,17 @@ def small_tables(draw, min_messages=1):
     return TableFamily(list(range(nx)), rows, m=m)
 
 
-small_targets = st.one_of(
-    small_tables(), st.sampled_from([CounterexampleProtocol(1), CounterexampleProtocol(2)]))
+SMALL_PROTOCOLS = st.sampled_from([CounterexampleProtocol(1), CounterexampleProtocol(2)])
+
+# (target, recycle): a protocol carries its own mode, so recycle is drawn for families only
+small_targets = st.tuples(small_tables(), st.booleans()) | st.tuples(SMALL_PROTOCOLS,
+                                                                    st.just(False))
 
 
 @settings(max_examples=40, deadline=None)
-@given(target=small_targets, recycle=st.booleans())
-def test_impersonation_search_is_first_argmax_of_direct_runs(target, recycle):
+@given(case=small_targets)
+def test_impersonation_search_is_first_argmax_of_direct_runs(case):
+    target, recycle = case
     proto = as_protocol(target, recycle)
     runs = [(uc_distance(proto, EnvStrategy.impersonate(w)), w) for w in proto.wire_values()]
     top = max(d for d, _ in runs)
@@ -314,7 +318,6 @@ def test_substitution_search_is_maximum_over_every_map(fam, recycle):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_counterexample_substitution_search_is_maximum_over_every_map(m):
-    # the protocol has no recycled key, so the recycle flag is ignored
     check_substitution_search(CounterexampleProtocol(m), recycle=False)
 
 
@@ -374,10 +377,10 @@ def run_cases(draw):
     """(target, recycle, env): an injection of any wire value, or a substitution
     on a point or mixed message distribution with any map over the wire values."""
     weights = draw(st.sampled_from(MSG_WEIGHTS))
-    targets = small_tables(min_messages=len(weights))
+    targets = st.tuples(small_tables(min_messages=len(weights)), st.booleans())
     if len(weights) <= 2:
-        targets |= st.sampled_from([CounterexampleProtocol(1), CounterexampleProtocol(2)])
-    target, recycle = draw(targets), draw(st.booleans())
+        targets |= st.tuples(SMALL_PROTOCOLS, st.just(False))
+    target, recycle = draw(targets)
     proto = as_protocol(target, recycle)
     wires = proto.wire_values()
     if draw(st.booleans()):
@@ -473,6 +476,20 @@ def test_run_validates_messages_and_wires():
         proto.check_message([0])
     with pytest.raises(DomainError):
         as_protocol("nonsense")
+
+
+def test_recycle_is_an_error_on_a_protocol():
+    # a protocol carries its own mode, so the flag is refused, not ignored
+    proto = CounterexampleProtocol(2)
+    env = EnvStrategy.substitute(0, {})
+    for run in (run_real, run_ideal, uc_distance):
+        with pytest.raises(DomainError, match="protocol carries its own mode"):
+            run(proto, env, recycle=True)
+    for search in (worst_case_substitution, worst_case_impersonation, worst_case_distance):
+        with pytest.raises(DomainError, match="protocol carries its own mode"):
+            search(proto, recycle=True)
+    with pytest.raises(DomainError, match="protocol carries its own mode"):
+        impersonation_distance(proto, (0, 0), recycle=True)
 
 
 def test_budget_refusals():
