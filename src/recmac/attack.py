@@ -8,18 +8,17 @@ a rejection eliminates one candidate for good.  The one-time pads cancel out
 of every acceptance event, so the exact engine enumerates k1 only and
 integrates the pads away analytically: it reads measure._eliminated, the
 number of keys at each value of c(k1), and builds every round's report in
-one pass over those counts.  The Monte Carlo engine keeps the pads
-explicit: per trial it draws k1 and one pad per round, and plays the rounds
-on the masked tags; h_{k1} is evaluated on x and x_sub once per distinct key
-drawn, and the expected rate is the exact share from the same count.  It
-draws what sample_transcript draws, bit for bit as randrange would, straight
-from the generator's 32-bit words.  When |K| and |T| are powers of two up to
-2^28 every draw is one word, kept iff its top bit is clear: the words come
-in bulk from getrandbits, the rejected ones drop out of byte columns, and
-each (trial, round) is checked on packed integer lanes.  Other families take
-one getrandbits call a draw.  sample_transcript itself calls randrange and
-runs every round through authenticate and verify, and the tests hold the
-two to the same hit count on every seed; it alone imports protocol.
+one pass over those counts.  The Monte Carlo engine samples k1 instead:
+a trial hits iff c(k1) is below the number of rounds, h_{k1} is evaluated
+on x and x_sub once per distinct key drawn, and the expected rate is the
+exact share from the same count.  It still draws every pad, as
+sample_transcript does, bit for bit as randrange would, straight from the
+generator's 32-bit words, and reads none of them; when |K| and |T| are
+powers of two up to 2^28 the words come in bulk from getrandbits and k1 is
+every (rounds + 1)-th kept word.  sample_transcript is the explicit-pad
+play: it calls randrange and runs every round through authenticate and
+verify, and the tests hold the two to the same hit count on every seed; it
+alone imports protocol.
 
 For a family whose two-point XOR bound is exactly 1/|T| the difference
 c(k1) is uniform over the tag space, which pins everything down:
@@ -300,188 +299,91 @@ def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Trans
     return Transcript(tuple(recs), tuple(guesses))
 
 
-# The lane engine of run_attack_montecarlo; see its docstring.
+# The bulk path of run_attack_montecarlo; see its docstring.
 _CHUNK_WORDS = 1 << 13       # Mersenne Twister words per getrandbits call
-_WINDOW_LANES = 1 << 15      # (trial, round) lanes checked per pass
-_LANE_COUNT_LIMIT = 1 << 28  # four 7-bit columns hold the value of any draw below it
-_REJECTED = bytes(range(128, 256))                             # bytes whose top bit is set
-_DROP = [bytes(v >> d for v in range(256)) for d in range(7)]  # byte -> byte >> d
+_BULK_COUNT_LIMIT = 1 << 28  # four 7-bit columns hold the value of any draw below it
+_REJECTED = bytes(range(128, 256))   # bytes whose top bit is set
 
 
-class _Draws:
-    """The stream of randrange(2^b) draws of one generator, in 7-bit columns.
+def _bulk_k1s(getrandbits, kbits: int, span: int, trials: int) -> Iterator[int]:
+    """Each trial's k1 = randrange(2^kbits), when every draw is one 32-bit word.
 
-    randrange(2^b) takes one 32-bit word w, keeps it iff its top bit is clear
-    and returns bits 30..31-b of it; getrandbits(32 W) is W words, least
-    significant first.  So every power-of-two draw, whatever its b, keeps the
-    same words.  Column c holds bits 30-7c..24-7c of each kept word: a chunk's
-    column bytes carry the word's top bit as their own, and one translate
-    drops the rejected words from every column alike.
+    randrange(2^b) takes one word w, keeps it iff its top bit is clear and
+    returns bits 30..31-b of it; getrandbits(32 W) is W words, least
+    significant first.  So a trial is `span` kept words, k1 first.  Column c
+    holds bits 30-7c..24-7c of each word in a byte whose top bit is the
+    word's, and one translate drops the rejected words from every column
+    alike; only the key's columns are kept.
     """
-
-    def __init__(self, getrandbits, columns: int):
-        self.getrandbits = getrandbits
-        self.columns = [bytearray() for _ in range(columns)]
-        ones = int.from_bytes(b"\1\0\0\0" * _CHUNK_WORDS, "little")
-        self.top = ones * 0xFF000000      # column 0 is the word's top byte as it is
-        self.flags = ones << 31
-        self.masks = [ones * (0x7F << 24 - 8 * c) for c in range(1, columns)]
-
-    def take(self, n: int) -> list[bytearray]:
-        """The next n kept words, one byte string per column."""
-        while len(self.columns[0]) < n:
-            word = self.getrandbits(32 * _CHUNK_WORDS)
-            packed, flags = word & self.top, word & self.flags
-            for c, mask in enumerate(self.masks, 1):
-                packed |= word >> c & mask | flags >> 8 * c
-            raw = packed.to_bytes(4 * _CHUNK_WORDS, "little")
-            for c, column in enumerate(self.columns):
-                column += raw[3 - c::4].translate(None, _REJECTED)
-        out = [column[:n] for column in self.columns]
-        for column in self.columns:
-            del column[:n]
-        return out
-
-
-def _lanes(columns: list[bytes], bits: int, size: int) -> int:
-    """Each draw of `columns` read as a b-bit draw, one `size`-byte lane each."""
-    used = -(-bits // 7)
-    lanes = 0
-    for c, column in enumerate(columns[:used]):
-        width = 7 if c < used - 1 else bits - 7 * c
-        spread = bytearray(size * len(column))
-        spread[::size] = column.translate(_DROP[7 - width]) if width < 7 else column
-        lanes = lanes << width | int.from_bytes(spread, "little")
-    return lanes
+    used = max(1, -(-kbits // 7))
+    widths = [7] * (used - 1) + [kbits - 7 * (used - 1)]
+    drop = bytes(v >> 7 - widths[-1] for v in range(256))
+    ones = int.from_bytes(b"\1\0\0\0" * _CHUNK_WORDS, "little")
+    top, flags = ones * 0xFF000000, ones << 31   # column 0 is the word's top byte as it is
+    masks = [ones * (0x7F << 24 - 8 * c) for c in range(1, used)]
+    skip = 0   # kept words before the next k1
+    while trials:
+        word = getrandbits(32 * _CHUNK_WORDS)
+        packed, flag = word & top, word & flags
+        for c, mask in enumerate(masks, 1):
+            packed |= word >> c & mask | flag >> 8 * c
+        raw = packed.to_bytes(4 * _CHUNK_WORDS, "little")
+        kept = [raw[3 - c::4].translate(None, _REJECTED) for c in range(used)]
+        picked = [column[skip::span][:trials] for column in kept]
+        picked[-1] = picked[-1].translate(drop)
+        n = len(picked[0])
+        skip += n * span - len(kept[0])
+        k1s = 0
+        for width, column in zip(widths, picked):
+            spread = bytearray(4 * n)
+            spread[::4] = column
+            k1s = k1s << width | int.from_bytes(spread, "little")
+        yield from struct.unpack(f"<{n}I", k1s.to_bytes(4 * n, "little"))
+        trials -= n
 
 
-def _accepted(pad: int, hx: bytes, hs: bytes, index: int, size: int) -> int:
-    """The forgeries accepted over one window of `size`-byte lanes, a lane a (trial, round).
-
-    Lane by lane, the round sends t = h_{k1}(x) ^ pad for x and the forgery
-    (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i, that is iff
-    the lane of the difference is zero; folding a lane's bytes onto its
-    first byte lets bytes.count find those lanes.
-    """
-    t = int.from_bytes(hx, "little") ^ pad
-    forged = t ^ index
-    difference = int.from_bytes(hs, "little") ^ pad ^ forged
-    folded = difference
-    for k in range(1, size):
-        folded |= difference >> 8 * k
-    return folded.to_bytes(len(hx), "little")[::size].count(0)
-
-
-def _lane_hits(fam: HashFamily, rounds: int, trials: int, getrandbits) -> int:
-    """run_attack_montecarlo's hits for |K| and |T| powers of two up to 2^28.
-
-    A trial is rounds + 1 kept words: k1, then a pad a round.  While a window
-    holds at least as many trials as a trial has words, it takes whole trials
-    and its lanes run round by round, each round over the window's trials;
-    a longer trial takes windows of its own, its rounds in order.
-    """
-    x, x_sub = _attack_pair(fam)
-    kbits, tbits = fam.key_count.bit_length() - 1, fam.tag_count.bit_length() - 1
-    size = 1 if tbits <= 8 else 2 if tbits <= 16 else 4
-    code = {1: "B", 2: "H", 4: "I"}[size]
-    draws = _Draws(getrandbits, max(1, -(-kbits // 7), -(-tbits // 7)))
-    hx_of: dict[int, bytes] = {}
-    hs_of: dict[int, bytes] = {}
-
-    def hash_lanes(keys: list[bytes]) -> tuple[bytes, bytes]:
-        """h_{k1}(x) and h_{k1}(x_sub), a lane per k1 drawn in `keys`."""
-        n = len(keys[0])
-        k1s = struct.unpack(f"<{n}I", _lanes(keys, kbits, 4).to_bytes(4 * n, "little"))
-        for k1 in set(k1s).difference(hx_of):
-            hx_of[k1] = fam.tag(k1, x).to_bytes(size, "little")
-            hs_of[k1] = fam.tag(k1, x_sub).to_bytes(size, "little")
-        return b"".join(map(hx_of.__getitem__, k1s)), b"".join(map(hs_of.__getitem__, k1s))
-
-    span, hits = rounds + 1, 0
-    per = _WINDOW_LANES // span
-    if per >= span:
-        indexed = None
-        for done in range(0, trials, per):
-            n = min(per, trials - done)
-            columns = draws.take(n * span)
-            hx, hs = hash_lanes([column[::span] for column in columns])
-            pads = [b"".join([column[r::span] for r in range(1, span)]) for column in columns]
-            if indexed != n:
-                indexed = n
-                index = int.from_bytes(b"".join([r.to_bytes(size, "little") * n
-                                                 for r in range(rounds)]), "little")
-            hits += _accepted(_lanes(pads, tbits, size), hx * rounds, hs * rounds, index, size)
-        return hits
-    for _ in range(trials):
-        hx, hs = hash_lanes(draws.take(1))
-        for first in range(0, rounds, _WINDOW_LANES):
-            n = min(_WINDOW_LANES, rounds - first)
-            index = int.from_bytes(struct.pack(f"<{n}{code}", *range(first, first + n)), "little")
-            hits += _accepted(_lanes(draws.take(n), tbits, size), hx * n, hs * n, index, size)
-    return hits
-
-
-def _draw_hits(fam: HashFamily, rounds: int, trials: int, getrandbits) -> int:
-    """run_attack_montecarlo's hits, one getrandbits call per draw."""
-    x, x_sub = _attack_pair(fam)
-    kc, tc = fam.key_count, fam.tag_count
+def _drawn_k1s(getrandbits, kc: int, tc: int, rounds: int, trials: int) -> Iterator[int]:
+    """Each trial's k1 = randrange(kc), one getrandbits call a draw."""
     kbits, tbits = kc.bit_length(), tc.bit_length()
-    hashes: dict[int, tuple[int, int]] = {}
-    hits = 0
     for _ in range(trials):
         # randrange(n) is Random._randbelow_with_getrandbits(n): redraw while >= n
         k1 = getrandbits(kbits)
         while k1 >= kc:
             k1 = getrandbits(kbits)
-        if k1 not in hashes:
-            hashes[k1] = fam.tag(k1, x), fam.tag(k1, x_sub)
-        hx, hs = hashes[k1]
-        # every pad is drawn, after a hit too: sample_transcript draws them up front
-        hit = False
-        for i in range(rounds):
-            pad = getrandbits(tbits)
-            while pad >= tc:
-                pad = getrandbits(tbits)
-            t = hx ^ pad
-            if not hit and hs ^ pad == t ^ i:
-                hit = True
-        hits += hit
-    return hits
+        yield k1
+        for _ in range(rounds):   # the pads, drawn and dropped
+            while getrandbits(tbits) >= tc:
+                pass
 
 
 def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
                           seed: int = 0, budget: int = DEFAULT_BUDGET) -> MonteCarloReport:
     """Simulate the attack with pseudorandom keys and pads.
 
-    A cross-check of the exact engine that keeps the pads explicit.  Each
-    trial draws k1 and then all of its pads, one per round, as
-    sample_transcript does, bit for bit as random.Random.randrange draws
-    them, so a seed gives the hits of that many sample_transcript runs on
-    random.Random(seed).  h_{k1}(x) and h_{k1}(x_sub) are evaluated once per
-    distinct k1 drawn; round i sends t = h_{k1}(x) ^ pad and the forgery
-    (x_sub, t ^ i) is accepted iff h_{k1}(x_sub) ^ pad == t ^ i.
+    A cross-check of the exact engine on sampled keys.  Round i sends
+    t = h_{k1}(x) ^ pad, and the forgery (x_sub, t ^ i) is accepted iff
+    h_{k1}(x_sub) ^ pad == t ^ i: the pad cancels, so a trial hits iff
+    c(k1) = h_{k1}(x) ^ h_{k1}(x_sub) is below `rounds`.  Each trial draws k1
+    and then all of its pads, one per round, as sample_transcript does, bit
+    for bit as random.Random.randrange draws them, so a seed gives the hits
+    of that many sample_transcript runs on random.Random(seed); the pads are
+    drawn only to keep that stream, and only k1 is read.  c(k1) is evaluated
+    once per distinct k1 drawn.  sample_transcript plays the pads through
+    authenticate and verify.
 
     randrange(n) is getrandbits(n.bit_length()) redrawn while >= n, and
     getrandbits(k <= 32) is the top k bits of one 32-bit word.  So for
     n = 2^b a draw is one word, kept iff its top bit is clear, with value
-    bits 30..31-b; and getrandbits(32 W) is W successive words, least
-    significant first.  When |K| and |T| are powers of two up to 2^28 the
-    trials take words 2^13 at a time from one getrandbits call.  Column c
-    holds bits 30-7c..24-7c of every word in a byte whose top bit is the
-    word's, and one bytes.translate per column drops the rejected words from
-    all columns alike.  Up to 2^15 (trial, round) cells at a time are packed
-    into integer lanes of a byte or more: t = hx ^ pad and t ^ i are computed
-    on the lanes, and the cells where hs ^ pad equals t ^ i are counted.  The
-    guesses i differ, so a trial accepts in at most one round, and the
-    accepting cells are the hits.  Other families, with |K| or |T| not a
-    power of two or above 2^28, make one getrandbits call a draw.
+    bits 30..31-b.  When |K| and |T| are powers of two up to 2^28 the trials
+    take words 2^13 at a time from one getrandbits call and k1 is every
+    (rounds + 1)-th kept word.  Other families, with |K| or |T| not a power
+    of two or above 2^28, make one getrandbits call a draw.
 
     Each round of each trial is a cell of the budget.  Apart from a chunk of
-    words and a window of lanes, both of fixed size, memory is the key
-    cache, which holds at most min(trials, |K|) entries, so those cells bound
-    memory as well as time.  The expected rate is the exact share of keys
-    the first `rounds` guesses cover, counted over all |K| keys, which the
-    budget holds separately.
+    words of fixed size, memory is the count of each k1 drawn, at most
+    min(trials, |K|) entries, so those cells bound memory as well as time.
+    The expected rate is the exact share of keys the first `rounds` guesses
+    cover, counted over all |K| keys, which the budget holds separately.
     """
     _check_rounds(fam, rounds)
     if trials < 1:
@@ -490,10 +392,13 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     check_budget(fam.key_count, budget, "exact expected rate of the Monte Carlo attack")
     getrandbits = random.Random(seed).getrandbits
     kc, tc = fam.key_count, fam.tag_count
-    if kc & kc - 1 == 0 and tc & tc - 1 == 0 and max(kc, tc) <= _LANE_COUNT_LIMIT:
-        hits = _lane_hits(fam, rounds, trials, getrandbits)
+    if kc & kc - 1 == 0 and tc & tc - 1 == 0 and max(kc, tc) <= _BULK_COUNT_LIMIT:
+        k1s = _bulk_k1s(getrandbits, kc.bit_length() - 1, rounds + 1, trials)
     else:
-        hits = _draw_hits(fam, rounds, trials, getrandbits)
+        k1s = _drawn_k1s(getrandbits, kc, tc, rounds, trials)
+    x, x_sub = _attack_pair(fam)
+    hits = sum(n for k1, n in Counter(k1s).items()
+               if fam.tag(k1, x) ^ fam.tag(k1, x_sub) < rounds)
     rate = Fraction(hits, trials)
     expected = Fraction(sum(_eliminated(fam)[:rounds]), kc)
     p = float(rate)

@@ -231,7 +231,10 @@ def cmd_attack(args, fam):
 def cmd_compose(args, fam):
     from . import compose as compose_mod
 
-    eps_prime = Fraction(args.qkd_eps)
+    try:
+        eps_prime = Fraction(args.qkd_eps)
+    except ZeroDivisionError:
+        raise DomainError(f"--qkd-eps {args.qkd_eps!r} has a zero denominator") from None
     qkd = compose_mod.ToyQkdFunctionality(args.rounds * fam.tag_bits, eps_prime)
     # the simulation's gate is arithmetic, so a refusal comes before the ledger's measure
     if args.simulate:

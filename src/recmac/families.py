@@ -382,10 +382,13 @@ def parse_family(desc: str) -> HashFamily:
     params: dict[str, int] = {}
     for part in rest.split(","):
         key, psep, val = part.partition("=")
+        key = key.strip().lower()
         if not psep:
             raise DomainError(f"bad parameter {part!r} in {desc!r}")
+        if key in params:
+            raise DomainError(f"descriptor {desc!r} repeats parameter {key!r}")
         try:
-            params[key.strip().lower()] = int(val)
+            params[key] = int(val)
         except ValueError:
             raise DomainError(f"parameter {part!r} in {desc!r} is not an integer") from None
     builders = {

@@ -510,23 +510,21 @@ def test_montecarlo_hits_match_sample_transcript_on_any_seed(seed, fam, rounds, 
     assert hits == montecarlo_hits_oracle(fam, rounds, trials, seed)
 
 
-# trials a window of mul:m=8 at 16 rounds holds: k1 and 16 pads a trial.  A
-# window of them draws past the first chunk of words, so each case refills.
-PER_WINDOW = attack._WINDOW_LANES // 17
-# rounds from which a window holds fewer trials than a trial has draws
-ALONE = math.isqrt(attack._WINDOW_LANES)
-
+# k1 and 16 pads a trial: 2^15 // 17 = 1927 trials of mul:m=8 fill about 2^15
+# kept words, eight chunks of 2^13 drawn words, so the counts around it end
+# inside a chunk and each case refills
 MC_EDGE_CASES = [
     (MulFamily(8), 16, 1),
-    (MulFamily(8), 16, PER_WINDOW - 1),
-    (MulFamily(8), 16, PER_WINDOW),
-    (MulFamily(8), 16, PER_WINDOW + 1),
+    (MulFamily(8), 16, 1926),
+    (MulFamily(8), 16, 1927),
+    (MulFamily(8), 16, 1928),
     (MulFamily(4), 16, 300),                          # rounds = |T|: every trial hits
-    (MulFamily(8), ALONE, 40),                        # a window a trial
+    (MulFamily(8), 181, 40),                          # about 22 trials a chunk
     (MulFamily(8), 256, 30),                          # ... and rounds = |T|
-    (MulFamily(16), attack._WINDOW_LANES + 5, 3),     # a trial longer than a window
+    (MulFamily(16), 32773, 3),                        # a trial longer than a chunk
     (ToeplitzFamily(10, 7), 5, 300),                  # 2^16 keys, three key columns
     (lift_to_asu2(MulFamily(3)), 5, 500),             # 64 keys, 8 tags
+    (TableFamily(["a", "b"], [[1, 3]]), 3, 300),      # one key, no key bits: every trial hits
 ]
 
 
@@ -541,8 +539,8 @@ def test_montecarlo_hits_match_the_oracles_at_window_and_chunk_edges(fam, rounds
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_montecarlo_hits_match_the_oracles_on_every_mul_size(m):
-    # half the tag space in rounds, so hits and misses both occur; from m = 9
-    # on a trial takes windows of its own, at m = 16 exactly one
+    # half the tag space in rounds, so hits and misses both occur; from m = 14
+    # on a trial is longer than a chunk of words
     fam = MulFamily(m)
     rounds = max(1, fam.tag_count // 2)
     trials = max(2, 2000 // rounds)
@@ -552,7 +550,7 @@ def test_montecarlo_hits_match_the_oracles_on_every_mul_size(m):
 
 
 def test_montecarlo_pins_the_benchmark_hits():
-    # the benchmark's game job, counted by the per-draw engine before the lanes
+    # the benchmark's game job, counted by the per-draw engine before the bulk path
     fam = MulFamily(8)
     assert run_attack_montecarlo(fam, 16, 100_000, seed=0).hits == 6304
     assert run_attack_montecarlo(fam, 16, 100_000, seed=1).hits == 6314
@@ -563,16 +561,46 @@ def test_montecarlo_keeps_the_per_draw_engine_off_power_of_two_counts(monkeypatc
     # depends on what each word is drawn for, and the per-draw engine runs
     fam = CounterexampleFamily(3)
     calls = []
-    real = attack._draw_hits
-    monkeypatch.setattr(attack, "_draw_hits", lambda *a: calls.append(a[0]) or real(*a))
+    real = attack._drawn_k1s
+    monkeypatch.setattr(attack, "_drawn_k1s", lambda *a: calls.append(a[1:3]) or real(*a))
     run_attack_montecarlo(fam, 3, 50, seed=2)
     run_attack_montecarlo(MulFamily(3), 3, 50, seed=2)
-    assert calls == [fam]
+    assert calls == [(7, 8)]
+
+
+def replayed_k1s(seed, kc, tc, rounds, trials):
+    """Each trial's k1 on random.Random(seed): randrange(kc), then `rounds` pads."""
+    rng = random.Random(seed)
+    k1s = []
+    for _ in range(trials):
+        k1s.append(rng.randrange(kc))
+        for _ in range(rounds):
+            rng.randrange(tc)
+    return k1s
+
+
+@pytest.mark.parametrize("kbits", range(29))
+def test_bulk_k1s_replay_randrange_at_every_key_size(kbits):
+    # one key column up to 7 bits, four from 22 on; any power-of-two tag count
+    # up to 2^28 draws the same words.  3000 trials of 4 words cross chunks of
+    # 2^13 words; a trial of 20001 words is longer than a chunk.
+    for seed, (tbits, rounds, trials) in enumerate([(1, 3, 3000), (28, 3, 3000),
+                                                    (kbits, 20000, 3)]):
+        got = attack._bulk_k1s(random.Random(seed).getrandbits, kbits, rounds + 1, trials)
+        assert list(got) == replayed_k1s(seed, 2**kbits, 2**tbits, rounds, trials)
+
+
+@pytest.mark.parametrize("kc, tc", [(1, 3), (5, 4), (7, 8), (8, 7), (257, 2), (2**16 + 1, 257),
+                                    (2**28, 2**29), (2**29, 2)])
+def test_drawn_k1s_replay_randrange(kc, tc):
+    for seed, (rounds, trials) in enumerate([(1, 500), (5, 200), (40, 30)]):
+        got = attack._drawn_k1s(random.Random(seed).getrandbits, kc, tc, rounds, trials)
+        assert list(got) == replayed_k1s(seed, kc, tc, rounds, trials)
 
 
 def test_montecarlo_memory_does_not_grow_with_trials():
-    # a chunk of words and a window of lanes, whatever the trial count; the
-    # key cache holds at most |K| = 256 entries here
+    # a chunk of words, whatever the trial count; the count of each k1 drawn
+    # holds at most |K| = 256 entries here
     fam = MulFamily(8)
     run_attack_montecarlo(fam, 16, 1000)
     peaks = []
@@ -610,7 +638,7 @@ def test_randrange_is_getrandbits_rejection():
 
 
 def test_getrandbits_is_words_least_significant_first():
-    # run_attack_montecarlo's lane path reads a draw below 2^b, b < 32, as one
+    # run_attack_montecarlo's bulk path reads a draw below 2^b, b < 32, as one
     # 32-bit word and bulk draws as successive words; this pins both contracts
     for seed in range(6):
         for words in (1, 2, 3, 64, 1000):

@@ -208,6 +208,18 @@ def test_attack_without_rounds_is_a_usage_error(capsys, rounds, fmt):
     assert one_error_line(capsys)
 
 
+@pytest.mark.parametrize("family", ["poly:m=2,L=2,l=1", "mul:m=3,m=2"])
+def test_repeated_family_parameter_is_a_usage_error(capsys, family):
+    assert run_main("epsilon", "--family", family) == 2
+    assert one_error_line(capsys)
+
+
+def test_zero_denominator_qkd_eps_is_a_usage_error(capsys):
+    assert run_main("compose", "--family", "mul:m=2", "--r", "1", "--rounds", "1",
+                    "--qkd-eps", "1/0") == 2
+    assert capsys.readouterr().err == "recmac: error: --qkd-eps '1/0' has a zero denominator\n"
+
+
 def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
     assert run_main("epsilon", "--family", "mul:m=2", out=tmp_path / "no" / "out.json") == 2
     assert one_error_line(capsys)

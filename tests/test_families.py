@@ -295,6 +295,14 @@ def test_parse_family_errors():
             parse_family(bad)
 
 
+@pytest.mark.parametrize("desc, key", [("mul:m=3,m=2", "m"), ("mul:m=2,m=2", "m"),
+                                       ("poly:m=2,L=2,l=1", "l"), ("toeplitz:n=4, N=4,m=3", "n")])
+def test_parse_family_refuses_a_repeated_parameter(desc, key):
+    # keys are compared after lower-casing, so L and l are one parameter
+    with pytest.raises(DomainError, match=f"repeats parameter '{key}'"):
+        parse_family(desc)
+
+
 @given(st.integers(min_value=2, max_value=6), st.data())
 def test_mul_tag_is_field_product(m, data):
     fam = MulFamily(m)

@@ -4,7 +4,10 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import recmac
+from recmac import CounterexampleProtocol, MulFamily, ToeplitzFamily, lift_to_asu2, ucsim
 
 SOURCES = sorted(Path(recmac.__file__).parent.glob("*.py"))
 SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
@@ -133,8 +136,8 @@ ATTACK = Path(recmac.__file__).parent / "attack.py"
 
 
 def test_montecarlo_draws_apart_from_the_protocol_path():
-    # the Monte Carlo replays randrange's stream on getrandbits and plays the
-    # pads itself, a draw a call or words in bulk; sample_transcript stays on
+    # the Monte Carlo replays randrange's stream on getrandbits, a draw a call
+    # or words in bulk, and reads only k1 from it; sample_transcript stays on
     # randrange and the protocol, so the tests that hold their hits equal
     # compare two independent paths.  No other function of attack.py draws
     # with randrange or runs the protocol.
@@ -143,10 +146,14 @@ def test_montecarlo_draws_apart_from_the_protocol_path():
     assert [name for name, calls in found.items() if calls & protocol_path] == \
         ["sample_transcript"]
     assert found["sample_transcript"] >= protocol_path
-    assert {"_draw_hits", "_lane_hits"} <= found["run_attack_montecarlo"]
-    assert "getrandbits" in found["_draw_hits"]
-    assert "getrandbits" in found["take"]          # _Draws.take, the lane path's words
-    assert "_Draws" in found["_lane_hits"]
+    assert {"_drawn_k1s", "_bulk_k1s"} <= found["run_attack_montecarlo"]
+    # both engines draw and hash nothing but k1; the hit is decided in one place
+    for engine in ("_drawn_k1s", "_bulk_k1s"):
+        assert "getrandbits" in found[engine] and "tag" not in found[engine]
+    assert "tag" in found["run_attack_montecarlo"]
+    defined = {node.name for node in ast.parse(ATTACK.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_Draws", "_lanes", "_accepted", "_lane_hits", "_draw_hits"} & defined
 
 
 # start-up: no module loads dataclasses (which loads inspect, ast, dis and
@@ -234,10 +241,12 @@ def test_the_attack_entry_points_read_one_pass():
     assert not {"_conditionals", "_attack_report", "_posterior_entropy"} & set(found)
 
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
 def tracer_targets():
     """The (module, attribute) pairs perfbench/tracer.py wraps, read from its TARGETS."""
-    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    for node in ast.parse(tracer.read_text(encoding="utf-8")).body:
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
             return [(ast.literal_eval(t.elts[1]), ast.literal_eval(t.elts[2]))
                     for t in node.value.elts]
@@ -257,6 +266,37 @@ def test_every_tracer_target_resolves():
         if owner is None or name not in vars(owner):
             missing.append(f"{module}:{attr}")
     assert missing == []
+
+
+def tracer_function(name):
+    """A top-level function of perfbench/tracer.py, compiled on its own from the file."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    namespace = {}
+    exec(compile(ast.Module([fn], []), str(TRACER), "exec"), namespace)
+    return namespace[name]
+
+
+@pytest.mark.parametrize("search", ["worst_case_substitution", "worst_case_impersonation"])
+@pytest.mark.parametrize("args, kwargs", [
+    ((MulFamily(2),), {}),
+    ((MulFamily(2), True), {}),
+    ((ToeplitzFamily(2, 2),), {"recycle": True}),
+    ((lift_to_asu2(MulFamily(2)),), {}),
+    ((CounterexampleProtocol(2),), {}),
+], ids=["mul", "mul-recycle", "toeplitz-recycle-keyword", "lift", "counterexample-protocol"])
+def test_tracer_counts_a_search_by_the_library_formula(monkeypatch, search, args, kwargs):
+    # the tracer's ucsim.search_cells re-derives the cells a search admits;
+    # both are read from one call, the library's as _admitted passes it on
+    admitted = []
+    real = ucsim._search_cells
+    monkeypatch.setattr(ucsim, "_search_cells",
+                        lambda *a: admitted.append(real(*a)) or admitted[-1])
+    getattr(ucsim, search)(*args, **kwargs)
+    counted = tracer_function("_search_cells")(None, args, kwargs)
+    assert counted == {"ucsim.searches": 1, "ucsim.search_cells": admitted[0]}
+    assert len(admitted) == 1
 
 
 # one first-maximum rule: _first_max alone counts the candidates of a maximum, and
