@@ -13,12 +13,12 @@ a trial hits iff c(k1) is below the number of rounds, h_{k1} is evaluated
 on x and x_sub once per distinct key drawn, and the expected rate is the
 exact share from the same count.  It still draws every pad, as
 sample_transcript does, bit for bit as randrange would, straight from the
-generator's 32-bit words, and reads none of them; when |K| and |T| are
-powers of two up to 2^28 the words come in bulk from getrandbits and k1 is
-every (rounds + 1)-th kept word.  sample_transcript is the explicit-pad
-play: it calls randrange and runs every round through authenticate and
-verify, and the tests hold the two to the same hit count on every seed; it
-alone imports protocol.
+generator's 32-bit words, and reads none of them; when |K| is a power of
+two up to 2^28 (|T| = 2^tag_bits always is one) the words come in bulk
+from getrandbits and k1 is every (rounds + 1)-th kept word.
+sample_transcript is the explicit-pad play: it calls randrange and runs
+every round through authenticate and verify, and the tests hold the two to
+the same hit count on every seed; it alone imports protocol.
 
 For a family whose two-point XOR bound is exactly 1/|T| the difference
 c(k1) is uniform over the tag space, which pins everything down:
@@ -284,7 +284,7 @@ def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Trans
     x, x_sub = _attack_pair(fam)
     k1 = rng.randrange(fam.key_count)
     pads = tuple(rng.randrange(fam.tag_count) for _ in range(rounds))
-    ks = KeyStream(k1, pads, fam.tag_bits)
+    ks = KeyStream(k1, pads, fam)
     recs = []
     guesses = []
     for i in range(rounds):
@@ -374,10 +374,11 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     randrange(n) is getrandbits(n.bit_length()) redrawn while >= n, and
     getrandbits(k <= 32) is the top k bits of one 32-bit word.  So for
     n = 2^b a draw is one word, kept iff its top bit is clear, with value
-    bits 30..31-b.  When |K| and |T| are powers of two up to 2^28 the trials
-    take words 2^13 at a time from one getrandbits call and k1 is every
-    (rounds + 1)-th kept word.  Other families, with |K| or |T| not a power
-    of two or above 2^28, make one getrandbits call a draw.
+    bits 30..31-b.  |T| = 2^tag_bits is always such an n, since FieldCtx caps
+    tag_bits at 16, so only |K| picks the engine.  When |K| is a power of two
+    up to 2^28 the trials take words 2^13 at a time from one getrandbits call
+    and k1 is every (rounds + 1)-th kept word.  Other families, with |K| not
+    a power of two or above 2^28, make one getrandbits call a draw.
 
     Each round of each trial is a cell of the budget.  Apart from a chunk of
     words of fixed size, memory is the count of each k1 drawn, at most
@@ -391,11 +392,11 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     check_budget(trials * rounds, budget, "Monte Carlo attack")
     check_budget(fam.key_count, budget, "exact expected rate of the Monte Carlo attack")
     getrandbits = random.Random(seed).getrandbits
-    kc, tc = fam.key_count, fam.tag_count
-    if kc & kc - 1 == 0 and tc & tc - 1 == 0 and max(kc, tc) <= _BULK_COUNT_LIMIT:
+    kc = fam.key_count
+    if kc & kc - 1 == 0 and kc <= _BULK_COUNT_LIMIT:
         k1s = _bulk_k1s(getrandbits, kc.bit_length() - 1, rounds + 1, trials)
     else:
-        k1s = _drawn_k1s(getrandbits, kc, tc, rounds, trials)
+        k1s = _drawn_k1s(getrandbits, kc, fam.tag_count, rounds, trials)
     x, x_sub = _attack_pair(fam)
     hits = sum(n for k1, n in Counter(k1s).items()
                if fam.tag(k1, x) ^ fam.tag(k1, x_sub) < rounds)

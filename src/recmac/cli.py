@@ -235,6 +235,8 @@ def cmd_compose(args, fam):
         eps_prime = Fraction(args.qkd_eps)
     except ZeroDivisionError:
         raise DomainError(f"--qkd-eps {args.qkd_eps!r} has a zero denominator") from None
+    except ValueError:
+        raise DomainError(f"--qkd-eps {args.qkd_eps!r} is not a fraction") from None
     qkd = compose_mod.ToyQkdFunctionality(args.rounds * fam.tag_bits, eps_prime)
     # the simulation's gate is arithmetic, so a refusal comes before the ledger's measure
     if args.simulate:
@@ -393,7 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "budget", 0) < 0:  # a usage error, where --budget 0 is a refusal
+        parser.error(f"argument --budget: must be at least 0, got {args.budget}")
     lift = getattr(args, "lift", False)
     try:
         if lift and getattr(args, "recycle", False):

@@ -185,19 +185,16 @@ def _axu2_work(fam: HashFamily) -> int:
 def measure_axu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:
     """Exact two-point XOR-collision bound with witness (x1, x2, t).
 
-    The result is computed once per family instance and cached on it, next
-    to its tag table.  The budget check runs on every call before the cache
-    is read, so whether a call refuses never depends on earlier calls.
+    Each call checks the budget and counts afresh; no result is kept on the
+    family, only a table scan's tag table.
     """
     if len(fam.messages) < 2:
         return Measurement("axu2", Fraction(0), None)
     check_budget(_axu2_work(fam), budget,
                  f"exact axu2 for {fam.descriptor()} (or sample it with sample_axu2)")
-    if fam._axu2 is None:
-        scan = _difference_walk(fam) if _linear_ok(fam) else _table_pairs(fam, partial(map, xor))
-        best, pair, t = _first_max(scan)
-        fam._axu2 = Measurement("axu2", Fraction(best, fam.key_count), (*pair, t))
-    return fam._axu2
+    scan = _difference_walk(fam) if _linear_ok(fam) else _table_pairs(fam, partial(map, xor))
+    best, pair, t = _first_max(scan)
+    return Measurement("axu2", Fraction(best, fam.key_count), (*pair, t))
 
 
 def measure_asu2(fam: HashFamily, budget: int = DEFAULT_BUDGET) -> Measurement:

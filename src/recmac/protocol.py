@@ -55,17 +55,15 @@ class KeyStream:
     """One recycled hash key plus a finite supply of one-time pads.
 
     next_key() pairs k1 with the next unused pad; the cursor only moves
-    forward, so reuse is impossible by construction.  bits_consumed counts
-    pad bits only: the recycled k1 is not spent.
+    forward, so reuse is impossible by construction.  Each pad is checked
+    by the family's own rule, fam.check_tag.
     """
 
-    def __init__(self, k1: int, pads: tuple[int, ...], tag_bits: int):
+    def __init__(self, k1: int, pads: tuple[int, ...], fam: HashFamily):
         self.k1 = k1
         self.pads = tuple(pads)
-        self.tag_bits = tag_bits
         for p in self.pads:
-            if type(p) is not int or not 0 <= p < (1 << tag_bits):  # bool is no pad
-                raise DomainError(f"pad {p!r} does not fit in {tag_bits} bits")
+            fam.check_tag(p, "pad")
         self.cursor = 0
 
     def next_key(self) -> AuthKey:
@@ -76,10 +74,6 @@ class KeyStream:
         key = AuthKey(self.k1, self.pads[self.cursor])
         self.cursor += 1
         return key
-
-    @property
-    def bits_consumed(self) -> int:
-        return self.cursor * self.tag_bits
 
 
 def _byte_len(bits: int) -> int:

@@ -81,10 +81,18 @@ def _split_wire(fam: HashFamily, wire) -> tuple:
 
 
 class AuthProtocol:
-    """One-round protocol interface; a protocol defines verdicts, and receive is one key's."""
+    """One-round protocol on a hash family; a protocol defines keys, encode and verdicts.
 
-    messages: Sequence
+    The messages, the tag table, the wire values (messages x tags, in order)
+    and the message check are read from the family here alone.
+    """
+
     recycles: bool = False
+
+    def __init__(self, fam: HashFamily, budget: int = DEFAULT_BUDGET):
+        self.fam = fam
+        self.messages = fam.messages
+        self._tab = fam.tag_table(budget)
 
     def keys(self) -> Sequence:
         raise NotImplementedError
@@ -107,28 +115,23 @@ class AuthProtocol:
         return ()
 
     def wire_values(self) -> list[tuple]:
-        raise NotImplementedError
+        return [(x, t) for x in self.messages for t in self.fam.tags()]
 
     def check_message(self, x) -> None:
-        raise NotImplementedError
+        self.fam.message_index(x)
 
 
 class WcProtocol(AuthProtocol):
     """(x, h_{k1}(x) ^ k2) with k1 recycled, or (x, h_k(x)) without a pad."""
 
     def __init__(self, fam: HashFamily, recycle: bool, budget: int = DEFAULT_BUDGET):
-        self.fam = fam
+        super().__init__(fam, budget)
         self.recycles = recycle
-        self.messages = fam.messages
-        self._tab = fam.tag_table(budget)
 
     def keys(self):
         if self.recycles:
-            return [
-                (k1, k2) for k1 in range(self.fam.key_count)
-                for k2 in range(self.fam.tag_count)
-            ]
-        return list(range(self.fam.key_count))
+            return [(k1, k2) for k1 in self.fam.keys() for k2 in self.fam.tags()]
+        return list(self.fam.keys())
 
     def encode(self, key, x):
         i = self.fam.message_index(x)
@@ -151,12 +154,6 @@ class WcProtocol(AuthProtocol):
     def recycled_values(self):
         return range(self.fam.key_count) if self.recycles else ()
 
-    def wire_values(self):
-        return [(x, t) for x in self.messages for t in self.fam.tags()]
-
-    def check_message(self, x):
-        self.fam.message_index(x)
-
 
 class CounterexampleProtocol(AuthProtocol):
     """Encode a bit x as (x ^ a, h_b(x ^ a)) with key (a, b).
@@ -168,12 +165,10 @@ class CounterexampleProtocol(AuthProtocol):
     """
 
     def __init__(self, m: int):
-        self.fam = CounterexampleFamily(m)
-        self.messages = range(2)
-        self._tab = self.fam.tag_table()
+        super().__init__(CounterexampleFamily(m))
 
     def keys(self):
-        return [(a, b) for a in range(2) for b in range(self.fam.key_count)]
+        return [(a, b) for a in range(2) for b in self.fam.keys()]
 
     def encode(self, key, x):
         a, b = key
@@ -184,24 +179,6 @@ class CounterexampleProtocol(AuthProtocol):
         _, w, tp = _split_wire(self.fam, wire)
         tab = self._tab
         return [(w ^ a) if tab[b][w] == tp else None for a, b in keys]
-
-    def wire_values(self):
-        return [(w, t) for w in range(2) for t in self.fam.tags()]
-
-    def check_message(self, x):
-        if x not in (0, 1):
-            raise DomainError(f"message must be 0 or 1, got {x!r}")
-
-
-def as_protocol(fam_or_proto, recycle: bool = False,
-                budget: int = DEFAULT_BUDGET) -> AuthProtocol:
-    if isinstance(fam_or_proto, AuthProtocol):
-        if recycle:
-            raise DomainError("recycle applies to a family; a protocol carries its own mode")
-        return fam_or_proto
-    if isinstance(fam_or_proto, HashFamily):
-        return WcProtocol(fam_or_proto, recycle, budget)
-    raise DomainError(f"not a family or protocol: {fam_or_proto!r}")
 
 
 class EnvStrategy(Record):
@@ -260,17 +237,21 @@ def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
 
     A family's keys are counted from its sizes, so a refused family builds no
     tag table and no keys; a protocol's keys are built once, then counted.  A
-    protocol carries its own mode, so `recycle` is a DomainError on one.
+    protocol carries its own mode, so `recycle` is a DomainError on one, as
+    is a target that is neither.
     """
     if isinstance(fam_or_proto, HashFamily):
         nkeys = fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
         check_budget(cells(fam_or_proto, nkeys), budget, what)
         proto = WcProtocol(fam_or_proto, recycle, budget)
         return proto, proto.keys()
-    proto = as_protocol(fam_or_proto, recycle)
-    keys = list(proto.keys())
-    check_budget(cells(proto, len(keys)), budget, what)
-    return proto, keys
+    if not isinstance(fam_or_proto, AuthProtocol):
+        raise DomainError(f"not a family or protocol: {fam_or_proto!r}")
+    if recycle:
+        raise DomainError("recycle applies to a family; a protocol carries its own mode")
+    keys = list(fam_or_proto.keys())
+    check_budget(cells(fam_or_proto, len(keys)), budget, what)
+    return fam_or_proto, keys
 
 
 def _y_groups(proto: AuthProtocol, keys: list, x) -> list[tuple[tuple, list]]:

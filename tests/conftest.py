@@ -19,8 +19,8 @@ from fractions import Fraction
 import pytest
 
 from recmac import (
-    LIST_ELIMINATION, AttackReport, Dist, EnvStrategy, ExactEntropy, HashFamily, MulFamily,
-    TableFamily, WcProtocol, entropy_of, lift_to_asu2, outcome_sort_key,
+    LIST_ELIMINATION, AttackReport, Dist, DomainError, EnvStrategy, ExactEntropy, HashFamily,
+    MulFamily, TableFamily, WcProtocol, entropy_of, lift_to_asu2, outcome_sort_key,
 )
 
 
@@ -586,6 +586,15 @@ def record_contract(cls, fields: dict, changed: tuple) -> None:
 
 
 # -- shared fixtures ------------------------------------------------------------
+
+
+def domain_error(call):
+    """The text of the DomainError `call` raises, or None if it returns."""
+    try:
+        call()
+    except DomainError as exc:
+        return str(exc)
+    return None
 
 
 def build_table16():

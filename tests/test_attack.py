@@ -209,8 +209,11 @@ def test_rows_are_linear_in_the_rounds(monkeypatch):
     assert len(masses) == 2 * rounds
 
 
-def test_rows_budget_counts_every_conditional():
+def test_rows_budget_counts_every_conditional(monkeypatch):
     # toeplitz:n=1,m=3: 8 rows hold 36 conditionals, more than its 8-cell axu2 walk
+    measured, measure = [], attack.measure_axu2
+    monkeypatch.setattr(attack, "measure_axu2",
+                        lambda f, budget: measured.append(f) or measure(f, budget))
     fam = ToeplitzFamily(1, 3)
     for rounds in (4, 7, 8):
         cells = rounds * (rounds + 1) // 2
@@ -219,7 +222,7 @@ def test_rows_budget_counts_every_conditional():
                            match=f"exact attack rows for toeplitz:n=1,m=3 needs {cells} cells, "
                                  f"budget is {cells - 1}$"):
             attack._attack_reports(fam, rounds, cells - 1)
-    assert fam._axu2 is None
+    assert len(measured) == 3 and fam not in measured   # a refused call measures nothing
 
 
 # -- exact entropy arithmetic ---------------------------------------------------

@@ -220,6 +220,26 @@ def test_zero_denominator_qkd_eps_is_a_usage_error(capsys):
     assert capsys.readouterr().err == "recmac: error: --qkd-eps '1/0' has a zero denominator\n"
 
 
+@pytest.mark.parametrize("qkd_eps", ["x", "inf", "1/2/3"])
+def test_qkd_eps_that_is_no_fraction_is_a_usage_error(capsys, qkd_eps):
+    assert run_main("compose", "--family", "mul:m=2", "--r", "1", "--rounds", "1",
+                    "--qkd-eps", qkd_eps) == 2
+    assert capsys.readouterr().err == f"recmac: error: --qkd-eps {qkd_eps!r} is not a fraction\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["epsilon", "--family", "mul:m=2"],
+    ["attack", "--family", "mul:m=2", "--rounds", "1", "--montecarlo"],
+    ["compose", "--family", "mul:m=2", "--r", "1", "--rounds", "1"],
+], ids=lambda c: c[0])
+def test_negative_budget_is_a_usage_error_and_zero_a_refusal(command):
+    assert call_main(command + ["--budget", "-1"]) == \
+        (2, "", "recmac: error: argument --budget: must be at least 0, got -1\n")
+    code, out, err = call_main(command + ["--budget", "0"])
+    assert (code, out) == (1, "") and err.startswith("recmac: budget refusal: ")
+    assert err.count("\n") == 1
+
+
 def test_unwritable_out_file_is_a_usage_error(tmp_path, capsys):
     assert run_main("epsilon", "--family", "mul:m=2", out=tmp_path / "no" / "out.json") == 2
     assert one_error_line(capsys)
@@ -315,7 +335,7 @@ def test_refused_uc_distance_measures_no_epsilon(monkeypatch, capsys, parsed, mo
     monkeypatch.setattr(cli, "measure_asu2", measured)
     assert run_main("uc-distance", "--family", "toeplitz:n=6,m=4", *mode) == 1
     assert "worst-case search" in capsys.readouterr().err
-    assert parsed[0]._axu2 is None and parsed[0]._table is None
+    assert parsed[0]._table is None
 
 
 def test_refused_identity_uc_distance_builds_no_table(tmp_path, capsys, parsed):

@@ -165,25 +165,26 @@ def test_sampling_is_deterministic_and_below_exact():
     assert F(hits, fam.key_count) == a.epsilon_estimate
 
 
-def test_axu2_is_computed_once_per_family():
+def test_axu2_is_the_same_on_every_call():
     fam = MulFamily(3)
     first = measure_axu2(fam)
-    assert measure_axu2(fam) is first
-    assert measure_axu2(fam) == measure_axu2(MulFamily(3))
+    assert measure_axu2(fam) == first == measure_axu2(MulFamily(3))
 
 
-def test_cached_axu2_still_checks_the_budget():
+def test_axu2_checks_the_budget_on_every_call():
     fam = MulFamily(4)
     measure_axu2(fam)
     with pytest.raises(BudgetExceeded, match="sample_axu2"):
         measure_axu2(fam, budget=10)
 
 
-def test_axu2_cache_is_per_instance():
-    a, b = MulFamily(3), MulFamily(3)
-    measure_axu2(a)
-    assert a._axu2 is not None
-    assert b._axu2 is None
+def test_measures_store_nothing_on_the_family():
+    # no result is kept on the family, and the walk and the asu2 recount build no table
+    fam = MulFamily(3)
+    state = dict(vars(fam))
+    measure_axu2(fam)
+    measure_asu2(fam)
+    assert vars(fam) == state
 
 
 def test_sampling_is_held_to_the_budget():
@@ -288,10 +289,10 @@ def test_sampled_witness_is_the_first_maximum_in_draw_order(fam, pairs, seed):
 def test_measure_budget_threshold_builds_nothing_when_refused(measure, build, work):
     fam = build()
     base = getattr(fam, "base", fam)
+    state = dict(vars(fam)), dict(vars(base))
     with pytest.raises(BudgetExceeded):
         measure(fam, budget=work - 1)
-    assert fam._table is None and fam._axu2 is None
-    assert base._table is None and base._axu2 is None
+    assert (vars(fam), vars(base)) == state   # no tag table, no result
     assert measure(fam, budget=work) == measure(build())
 
 

@@ -24,6 +24,8 @@ from recmac import (
     verify,
 )
 
+from conftest import domain_error
+
 
 def test_authenticate_frozen():
     fam = MulFamily(2)
@@ -64,18 +66,32 @@ def test_masked_tag_is_uniform_over_pads():
 
 
 def test_key_stream():
-    ks = KeyStream(5, (1, 3, 0), tag_bits=2)
-    assert ks.bits_consumed == 0
+    fam = MulFamily(2)
+    ks = KeyStream(5, (1, 3, 0), fam)
     assert ks.next_key() == AuthKey(5, 1)
     assert ks.next_key() == AuthKey(5, 3)
-    assert ks.bits_consumed == 4
     assert ks.next_key() == AuthKey(5, 0)
-    assert ks.bits_consumed == 6
     with pytest.raises(PadExhausted):
         ks.next_key()
     for pads in ((4,), (1.0, True), (True,), (False,), (1.0,), ("1",), (None,)):
         with pytest.raises(DomainError, match="pad"):  # a pad is an int, never a bool
-            KeyStream(1, pads, tag_bits=2)
+            KeyStream(1, pads, fam)
+
+
+PAD_FAMILIES = {"mul": MulFamily(2), "toeplitz": ToeplitzFamily(3, 3),
+                "table": TableFamily(["a", "b"], [[0, 5], [3, 1]])}
+
+
+# "top" is the family's largest tag and "count" is |T|, one past it
+@pytest.mark.parametrize("pad", [0, "top", "count", -1, True, False, 1.0, "1", None])
+@pytest.mark.parametrize("name", sorted(PAD_FAMILIES))
+def test_key_stream_takes_a_pad_exactly_when_check_tag_does(name, pad):
+    fam = PAD_FAMILIES[name]
+    pad = {"top": fam.tag_count - 1, "count": fam.tag_count}.get(pad, pad)
+    want = domain_error(lambda: fam.check_tag(pad, "pad"))
+    assert domain_error(lambda: KeyStream(0, (2, pad), fam)) == want
+    if want is None:
+        assert KeyStream(0, (pad,), fam).next_key() == AuthKey(0, pad)
 
 
 def test_pack_frozen():

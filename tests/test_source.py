@@ -118,18 +118,33 @@ def test_nothing_in_ucsim_calls_receive():
                 and isinstance(c.func, ast.Attribute) and c.func.attr == "receive"]
 
 
-def test_only_the_base_family_encodes_messages():
-    # a message's wire integer is its index in `messages`, for every family
+def definitions(*names):
+    """(file, class or None, name) of every function of the package named one of `names`."""
     defined = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for fn in cls.body}
         defined |= {(path.name, owner.get(fn), fn.name) for fn in ast.walk(tree)
-                    if isinstance(fn, ast.FunctionDef)
-                    and fn.name in ("message_to_int", "message_from_int")}
-    assert defined == {("families.py", "HashFamily", "message_to_int"),
-                       ("families.py", "HashFamily", "message_from_int")}
+                    if isinstance(fn, ast.FunctionDef) and fn.name in names}
+    return defined
+
+
+def test_only_the_base_family_encodes_messages():
+    # a message's wire integer is its index in `messages`, for every family
+    assert definitions("message_to_int", "message_from_int") == {
+        ("families.py", "HashFamily", "message_to_int"),
+        ("families.py", "HashFamily", "message_from_int")}
+
+
+def test_the_protocol_base_alone_reads_the_family_spaces():
+    # the wire values and the message check come from the family, once; a
+    # target becomes a protocol in ucsim._admitted alone, and no measure is
+    # kept on a family
+    assert definitions("wire_values", "check_message", "as_protocol", "bits_consumed") == {
+        ("ucsim.py", "AuthProtocol", "wire_values"),
+        ("ucsim.py", "AuthProtocol", "check_message")}
+    assert "_axu2" not in vars(MulFamily(2))
 
 
 ATTACK = Path(recmac.__file__).parent / "attack.py"

@@ -40,15 +40,20 @@ from recmac import (
     worst_case_substitution,
 )
 from recmac import ucsim
-from recmac.ucsim import FIELDS_IMP, FIELDS_SUB, as_protocol
+from recmac.ucsim import FIELDS_IMP, FIELDS_SUB
 
 from conftest import (
-    impersonation_tv_oracle, record_contract, run_oracle, substitution_tv_oracle,
+    domain_error, impersonation_tv_oracle, record_contract, run_oracle, substitution_tv_oracle,
 )
 
 
 def all_wires(fam):
     return [(x, t) for x in fam.messages for t in fam.tags()]
+
+
+def protocol_of(target, recycle):
+    """The protocol a run or search plays on `target`: WcProtocol on a family."""
+    return target if isinstance(target, ucsim.AuthProtocol) else WcProtocol(target, recycle)
 
 
 # -- schemas and basic runs ---------------------------------------------------
@@ -254,7 +259,7 @@ small_targets = st.tuples(small_tables(), st.booleans()) | st.tuples(SMALL_PROTO
 @given(case=small_targets)
 def test_impersonation_search_is_first_argmax_of_direct_runs(case):
     target, recycle = case
-    proto = as_protocol(target, recycle)
+    proto = protocol_of(target, recycle)
     runs = [(uc_distance(proto, EnvStrategy.impersonate(w)), w) for w in proto.wire_values()]
     top = max(d for d, _ in runs)
     first = next(w for d, w in runs if d == top)
@@ -275,7 +280,7 @@ def reachable_wires(proto, x):
 
 def every_map_maximum(target, recycle):
     """Max distance over every message and every map of its reachable wires."""
-    proto = as_protocol(target, recycle)
+    proto = protocol_of(target, recycle)
     wires = proto.wire_values()
     best = F(0)
     for x in proto.messages:
@@ -289,7 +294,7 @@ def every_map_maximum(target, recycle):
 def canonical_witness(target, recycle):
     """The documented tie-breaks: per observed wire the first best replacement
     in wire order (none if nothing gains), then the first best message."""
-    proto = as_protocol(target, recycle)
+    proto = protocol_of(target, recycle)
     wires = proto.wire_values()
     best = None
     for x in proto.messages:
@@ -381,7 +386,7 @@ def run_cases(draw):
     if len(weights) <= 2:
         targets |= st.tuples(SMALL_PROTOCOLS, st.just(False))
     target, recycle = draw(targets)
-    proto = as_protocol(target, recycle)
+    proto = protocol_of(target, recycle)
     wires = proto.wire_values()
     if draw(st.booleans()):
         return target, recycle, EnvStrategy.impersonate(draw(st.sampled_from(wires)))
@@ -474,8 +479,9 @@ def test_run_validates_messages_and_wires():
         proto.receive((0, 0), ([0], 0))   # unhashable message
     with pytest.raises(DomainError):
         proto.check_message([0])
-    with pytest.raises(DomainError):
-        as_protocol("nonsense")
+    for recycle in (False, True):
+        with pytest.raises(DomainError, match="not a family or protocol: 'nonsense'"):
+            run_real("nonsense", EnvStrategy.substitute(0, {}), recycle=recycle)
 
 
 def test_recycle_is_an_error_on_a_protocol():
@@ -606,6 +612,31 @@ def test_verdicts_are_receive_under_every_key(proto):
     for bad in ((0, 0, 0), (9, 0), (0, 99)):
         with pytest.raises(DomainError):
             proto.verdicts(keys, bad)
+
+
+# both built-in protocols read their spaces from the family: the same messages,
+# the same message check, and the wire values messages x tags in order
+BUILT_IN_PROTOCOLS = [WcProtocol(MulFamily(1), recycle=False),
+                      WcProtocol(MulFamily(1), recycle=True), CounterexampleProtocol(2)]
+BUILT_IN_IDS = ["mul1", "mul1-recycle", "counterexample2"]
+
+
+@pytest.mark.parametrize("x", [0, 1, True, 2, "a", [0]], ids=repr)
+@pytest.mark.parametrize("proto", BUILT_IN_PROTOCOLS, ids=BUILT_IN_IDS)
+def test_protocols_take_a_message_exactly_when_the_family_does(proto, x):
+    want = domain_error(lambda: proto.fam.message_index(x))
+    assert domain_error(lambda: proto.check_message(x)) == want
+    assert (want is None) == (x in (0, 1))
+
+
+@pytest.mark.parametrize("proto", BUILT_IN_PROTOCOLS, ids=BUILT_IN_IDS)
+def test_wire_values_are_the_family_messages_times_its_tags(proto):
+    fam = proto.fam
+    assert proto.messages is fam.messages
+    assert proto.wire_values() == list(itertools.product(fam.messages, fam.tags()))
+    # what the search admits on a protocol is what it counts on the family
+    nkeys = len(proto.keys())
+    assert ucsim._search_cells(proto, nkeys) == ucsim._search_cells(fam, nkeys)
 
 
 # -- the value class -------------------------------------------------------------
