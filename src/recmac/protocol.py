@@ -55,12 +55,12 @@ class KeyStream:
     """One recycled hash key plus a finite supply of one-time pads.
 
     next_key() pairs k1 with the next unused pad; the cursor only moves
-    forward, so reuse is impossible by construction.  Each pad is checked
-    by the family's own rule, fam.check_tag.
+    forward, so reuse is impossible by construction.  k1 and each pad are
+    checked by the family's own rules, fam.check_key and fam.check_tag.
     """
 
     def __init__(self, k1: int, pads: tuple[int, ...], fam: HashFamily):
-        self.k1 = k1
+        self.k1 = fam.check_key(k1)
         self.pads = tuple(pads)
         for p in self.pads:
             fam.check_tag(p, "pad")

@@ -30,11 +30,13 @@ recycling there is no k1 column.  With recycling the pad is fixed once k1 and
 y are known, so a y-group holds each k1 exactly once: given the tagged
 message k1 is uniform, as in the ideal world (Wegman & Carter 1981; Portmann
 2012, arXiv:1202.1229).  Either way TV(real | y, ideal | y) is the share of
-the group's keys whose verdict is not the ideal receiver's, so the worst case
-is sum_y max_yp (that count) / |keys|.  Both searches count those keys with
-integer bitmasks and build a single Fraction at the end.  A recycling
-protocol other than WcProtocol need not hold each recycled value equally
-often in a y-group, so the search refuses it; the runs below stay general.
+the group's keys whose verdict is not the ideal receiver's, so a distance is
+sum_y P(y) * (that count) / |group| and the worst case is sum_y max_yp (that
+count) / |keys|.  uc_distance and the searches count those keys with integer
+bitmasks and build a single Fraction at the end.  Only WcProtocol recycles:
+the runs read k1 as key[0] and the ideal world draws it from the family's
+keys, and every run and search refuses any other recycling protocol, whose
+y-groups need not hold each k1 once.
 
 One private search serves all three public ones.  The receiver's verdict
 depends on the key and the delivered wire message only, so each wire value
@@ -42,12 +44,13 @@ gets one verdicts() call for all keys, turned into a mask of the accepting
 keys that every observed y shares; a group that sent the wire unmodified
 instead counts the keys whose verdict is not its own message.  Impersonation
 is one more group in the same loop: all keys, never reached unmodified.  Each
-witness is re-run through uc_distance and VerificationFailed is raised unless
-the numbers agree, so a reported maximum never rests on the decomposition or
-the count alone.  run_real, run_ideal and uc_distance share one pass that
-builds the protocol, the keys and the (x, y-group) deliveries once, takes
-verdicts() per group and counts both worlds in integers, each over the one
-denominator its Dist keeps.
+witness is re-run through run_real, run_ideal and statistical_distance, and
+VerificationFailed is raised unless the numbers agree, so a reported maximum
+never rests on the decomposition or the count alone.  run_real, run_ideal
+and uc_distance each build the protocol, the keys and the (x, y-group)
+deliveries once; run_real counts the real outcomes and run_ideal the ideal
+ones in integers over the one denominator its Dist keeps, and run_ideal asks
+no verdict.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class AuthProtocol:
     """One-round protocol on a hash family; a protocol defines keys, encode and verdicts.
 
     The messages, the tag table, the wire values (messages x tags, in order)
-    and the message check are read from the family here alone.
+    and the message check are read from the family here alone.  Only
+    WcProtocol may set `recycles`.
     """
 
     recycles: bool = False
@@ -108,12 +112,6 @@ class AuthProtocol:
         """Message accepted under `key` for the wire input, or None."""
         return self.verdicts([key], wire)[0]
 
-    def recycled(self, key) -> Optional[int]:
-        return None
-
-    def recycled_values(self) -> Sequence[int]:
-        return ()
-
     def wire_values(self) -> list[tuple]:
         return [(x, t) for x in self.messages for t in self.fam.tags()]
 
@@ -122,7 +120,7 @@ class AuthProtocol:
 
 
 class WcProtocol(AuthProtocol):
-    """(x, h_{k1}(x) ^ k2) with k1 recycled, or (x, h_k(x)) without a pad."""
+    """(x, h_{k1}(x) ^ k2) under key (k1, k2), k1 recycled, or (x, h_k(x)) without a pad."""
 
     def __init__(self, fam: HashFamily, recycle: bool, budget: int = DEFAULT_BUDGET):
         super().__init__(fam, budget)
@@ -147,12 +145,6 @@ class WcProtocol(AuthProtocol):
         if self.recycles:
             return [xp if tab[k1][i] ^ k2 == tp else None for k1, k2 in keys]
         return [xp if tab[k][i] == tp else None for k in keys]
-
-    def recycled(self, key):
-        return key[0] if self.recycles else None
-
-    def recycled_values(self):
-        return range(self.fam.key_count) if self.recycles else ()
 
 
 class CounterexampleProtocol(AuthProtocol):
@@ -238,7 +230,8 @@ def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
     A family's keys are counted from its sizes, so a refused family builds no
     tag table and no keys; a protocol's keys are built once, then counted.  A
     protocol carries its own mode, so `recycle` is a DomainError on one, as
-    is a target that is neither.
+    are a target that is neither and a recycling protocol other than
+    WcProtocol, whose y-groups need not hold each k1 once.
     """
     if isinstance(fam_or_proto, HashFamily):
         nkeys = fam_or_proto.key_count * (fam_or_proto.tag_count if recycle else 1)
@@ -249,6 +242,9 @@ def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
         raise DomainError(f"not a family or protocol: {fam_or_proto!r}")
     if recycle:
         raise DomainError("recycle applies to a family; a protocol carries its own mode")
+    if fam_or_proto.recycles and not isinstance(fam_or_proto, WcProtocol):
+        raise DomainError("recycling needs each k1 once per y-group, "
+                          "which only WcProtocol guarantees")
     keys = list(fam_or_proto.keys())
     check_budget(cells(fam_or_proto, len(keys)), budget, what)
     return fam_or_proto, keys
@@ -262,56 +258,44 @@ def _y_groups(proto: AuthProtocol, keys: list, x) -> list[tuple[tuple, list]]:
     return sorted(by_y.items(), key=lambda item: outcome_sort_key(item[0]))
 
 
-def _deliveries(proto: AuthProtocol, env: EnvStrategy, keys: list) -> tuple[tuple, int, list]:
-    """The outcome fields, a denominator, and the deliveries of `env`.
+def _deliveries(fam_or_proto, env: EnvStrategy, recycle: bool,
+                budget: int) -> tuple[AuthProtocol, list, tuple, int, list]:
+    """The admitted protocol and keys, the outcome fields, a denominator and `env`'s deliveries.
 
     A delivery is (outcome head, weight over the denominator, key indices,
     wire delivered, ideal verdict), one per (x, y-group).  An injection is
-    one delivery to all keys, never unmodified, so the ideal receiver rejects it.
-    """
-    if env.mode == IMPERSONATION:
-        return FIELDS_IMP, 1, [((env.inject,), 1, range(len(keys)), env.inject, None)]
-    deliveries = []
-    for (x,), w in env.msg_dist.counts.items():
-        proto.check_message(x)
-        for y, idx in _y_groups(proto, keys, x):
-            yp = env.deliver(y)
-            deliveries.append(((x, y, yp), w, idx, yp, x if yp == y else None))
-    return FIELDS_SUB, env.msg_dist.denom, deliveries
-
-
-def _runs(fam_or_proto, env: EnvStrategy, recycle: bool, budget: int) -> tuple[Dist, Dist]:
-    """The real and the ideal outcome distributions, from one set of deliveries.
-
-    Each world counts integers over its own denominator.  Without recycling
-    k1 is always None, so it is not counted.
+    one delivery to all keys, never unmodified, so the ideal receiver rejects
+    it.  Without recycling k1 is always None, so the fields leave it out.
     """
     # on a family the work includes the K x |X| tag table, cached or not, so
     # whether a run is refused never depends on an earlier call
     support = 1 if env.mode == IMPERSONATION else len(env.msg_dist)
     proto, keys = _admitted(fam_or_proto, recycle, budget, "run", lambda t, nkeys: (
         support * nkeys + (t.key_count * len(t.messages) if isinstance(t, HashFamily) else 0)))
-    fields, denom, deliveries = _deliveries(proto, env, keys)
-    if proto.recycles:
-        rec = [(proto.recycled(key),) for key in keys]
-        rvals = [(r,) for r in proto.recycled_values()]
-    else:
-        fields, rec, rvals = fields[:-1], [()] * len(keys), [()]
-    real: dict[tuple, int] = defaultdict(int)
-    ideal: dict[tuple, int] = defaultdict(int)
-    for head, w, idx, yp, out0 in deliveries:
-        for i, out in zip(idx, proto.verdicts([keys[i] for i in idx], yp)):
-            real[head + (out,) + rec[i]] += w
-        for r in rvals:
-            ideal[head + (out0,) + r] += w * len(idx)
-    denom *= len(keys)
-    return Dist(fields, real, denom), Dist(fields, ideal, denom * len(rvals))
+    fields = FIELDS_IMP if env.mode == IMPERSONATION else FIELDS_SUB
+    if not proto.recycles:
+        fields = fields[:-1]
+    if env.mode == IMPERSONATION:
+        return proto, keys, fields, 1, [
+            ((env.inject,), 1, range(len(keys)), env.inject, None)]
+    deliveries = []
+    for (x,), w in env.msg_dist.counts.items():
+        proto.check_message(x)
+        for y, idx in _y_groups(proto, keys, x):
+            yp = env.deliver(y)
+            deliveries.append(((x, y, yp), w, idx, yp, x if yp == y else None))
+    return proto, keys, fields, env.msg_dist.denom, deliveries
 
 
 def run_real(fam_or_proto, env: EnvStrategy, recycle: bool = False,
              budget: int = DEFAULT_BUDGET) -> Dist:
     """Exact outcome distribution of the real execution under `env`."""
-    return _runs(fam_or_proto, env, recycle, budget)[0]
+    proto, keys, fields, denom, deliveries = _deliveries(fam_or_proto, env, recycle, budget)
+    real: dict[tuple, int] = defaultdict(int)
+    for head, w, idx, yp, _ in deliveries:
+        for i, out in zip(idx, proto.verdicts([keys[i] for i in idx], yp)):
+            real[head + (out,) + (keys[i][:1] if proto.recycles else ())] += w
+    return Dist(fields, real, denom * len(keys))
 
 
 def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
@@ -320,15 +304,30 @@ def run_ideal(fam_or_proto, env: EnvStrategy, recycle: bool = False,
 
     The simulator encodes the message under its own fresh keys, so the wire
     message shown to the environment has the real marginal; the receiver
-    accepts only if the delivery is unmodified, and the recycled key is drawn
-    uniformly, independent of the transcript.
+    accepts only if the delivery is unmodified, and the recycled k1 is drawn
+    uniformly from the family's keys, independent of the transcript.
     """
-    return _runs(fam_or_proto, env, recycle, budget)[1]
+    proto, keys, fields, denom, deliveries = _deliveries(fam_or_proto, env, recycle, budget)
+    k1s = [(k1,) for k1 in proto.fam.keys()] if proto.recycles else [()]
+    ideal: dict[tuple, int] = defaultdict(int)
+    for head, w, idx, _, out0 in deliveries:
+        for k1 in k1s:
+            ideal[head + (out0,) + k1] += w * len(idx)
+    return Dist(fields, ideal, denom * len(keys) * len(k1s))
+
+
+def _disagreeing(verdicts: list, out0) -> int:
+    """The bitmask of the keys whose verdict is not out0, key i at bit i."""
+    return int("".join(["0" if v == out0 else "1" for v in verdicts])[::-1], 2)
 
 
 def uc_distance(fam_or_proto, env: EnvStrategy, recycle: bool = False,
                 budget: int = DEFAULT_BUDGET) -> Fraction:
-    return statistical_distance(*_runs(fam_or_proto, env, recycle, budget))
+    """TV(real, ideal), counted as the keys whose verdict is not the ideal one."""
+    proto, keys, _, denom, deliveries = _deliveries(fam_or_proto, env, recycle, budget)
+    count = sum(w * _disagreeing(proto.verdicts([keys[i] for i in idx], yp), out0).bit_count()
+                for _, w, idx, yp, out0 in deliveries)
+    return Fraction(count, denom * len(keys))
 
 
 def impersonation_distance(fam_or_proto, wire: tuple, recycle: bool = False,
@@ -344,15 +343,11 @@ def _search_cells(target, nkeys: int) -> int:
                               else len(target.wire_values())))
 
 
-def _disagreeing(verdicts: list, out0) -> int:
-    """The bitmask of the keys whose verdict is not out0, key i at bit i."""
-    return int("".join(["0" if v == out0 else "1" for v in verdicts])[::-1], 2)
-
-
 def _verified(proto: AuthProtocol, d: Fraction, env: EnvStrategy,
               budget: int) -> tuple[Fraction, EnvStrategy]:
     """Re-run a search's witness through run_real/run_ideal; raise on disagreement."""
-    check = uc_distance(proto, env, budget=budget)
+    check = statistical_distance(run_real(proto, env, budget=budget),
+                                 run_ideal(proto, env, budget=budget))
     if check != d:
         raise VerificationFailed(
             f"worst-case search found {d} but its witness runs at {check}")
@@ -368,9 +363,6 @@ def _search(fam_or_proto, recycle: bool, budget: int, substitution: bool = True,
     unmodified.  A group scores the keys whose verdict is not the ideal one.
     """
     proto, keys = _admitted(fam_or_proto, recycle, budget, "worst-case search", _search_cells)
-    if proto.recycles and not isinstance(proto, WcProtocol):
-        raise DomainError("the worst-case search needs each recycled value once per "
-                          "y-group, which only WcProtocol guarantees")
     groups = []  # (x, y, the mask of the keys sending y on x), y ascending per x
     spans = []   # (x, its first group, the group after its last)
     for x in proto.messages if substitution else ():

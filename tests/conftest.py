@@ -290,8 +290,9 @@ def impersonation_tv_oracle(fam, wire: tuple, recycle: bool) -> Fraction:
 # candidate wire message and every y-group, a Counter of the group's keys by
 # (verdict, recycled value), scored against the ideal law that puts 1/nr on
 # each (out0, k1).  It runs on the protocol interface alone (keys, encode,
-# verdicts, recycled, wire_values) and keeps the library's tie-breaks: the
-# first strict maximum in wire order per group, then per message.
+# verdicts, wire_values), reads a recycling key's k1 as key[0] and the nr
+# recycled values as the family's keys, and keeps the library's tie-breaks:
+# the first strict maximum in wire order per group, then per message.
 
 
 def counter_tv_numerator(cells, out0, n: int, nr: int) -> int:
@@ -316,8 +317,8 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
     proto = WcProtocol(target, recycle) if isinstance(target, HashFamily) else target
     keys = list(proto.keys())
     wire = proto.wire_values()
-    rec = [proto.recycled(key) for key in keys]
-    nr = len(proto.recycled_values()) if proto.recycles else 1
+    rec = [key[0] if proto.recycles else None for key in keys]
+    nr = proto.fam.key_count if proto.recycles else 1
     if mode == "impersonation":
         best, best_yp = -1, None
         for yp in wire:
@@ -359,8 +360,9 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
 # run_real and run_ideal as they first stood in the library: each key adds its
 # own Fraction to its outcome, substitution and impersonation are separate
 # branches, and the real receiver is asked key by key through receive().  It
-# runs on the protocol interface alone (keys, encode, receive, recycled,
-# recycled_values, check_message) and skips the budget check.
+# runs on the protocol interface alone (keys, encode, receive, check_message),
+# reads a recycling key's k1 as key[0] and the ideal world's k1 from the
+# family's keys, and skips the budget check.
 
 
 def finish_oracle(acc, nonrec_fields, proto) -> Dist:
@@ -388,18 +390,18 @@ def real_oracle(proto, keys, env) -> Dist:
                 y = proto.encode(key, x)
                 yp = env.deliver(y)
                 out = proto.receive(key, yp)
-                acc[(x, y, yp, out, proto.recycled(key))] += w
+                acc[(x, y, yp, out, key[0] if proto.recycles else None)] += w
         return finish_oracle(acc, ("x", "y", "yp", "out"), proto)
     yp = env.inject
     for key in keys:
         out = proto.receive(key, yp)
-        acc[(yp, out, proto.recycled(key))] += unit
+        acc[(yp, out, key[0] if proto.recycles else None)] += unit
     return finish_oracle(acc, ("yp", "out"), proto)
 
 
 def ideal_oracle(proto, keys, env) -> Dist:
     unit = Fraction(1, len(keys))
-    rvals = list(proto.recycled_values()) if proto.recycles else [None]
+    rvals = list(proto.fam.keys()) if proto.recycles else [None]
     runit = Fraction(1, len(rvals))
     acc: dict[tuple, Fraction] = defaultdict(Fraction)
     if env.mode == "substitution":

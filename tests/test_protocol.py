@@ -67,10 +67,10 @@ def test_masked_tag_is_uniform_over_pads():
 
 def test_key_stream():
     fam = MulFamily(2)
-    ks = KeyStream(5, (1, 3, 0), fam)
-    assert ks.next_key() == AuthKey(5, 1)
-    assert ks.next_key() == AuthKey(5, 3)
-    assert ks.next_key() == AuthKey(5, 0)
+    ks = KeyStream(3, (1, 3, 0), fam)
+    assert ks.next_key() == AuthKey(3, 1)
+    assert ks.next_key() == AuthKey(3, 3)
+    assert ks.next_key() == AuthKey(3, 0)
     with pytest.raises(PadExhausted):
         ks.next_key()
     for pads in ((4,), (1.0, True), (True,), (False,), (1.0,), ("1",), (None,)):
@@ -92,6 +92,18 @@ def test_key_stream_takes_a_pad_exactly_when_check_tag_does(name, pad):
     assert domain_error(lambda: KeyStream(0, (2, pad), fam)) == want
     if want is None:
         assert KeyStream(0, (pad,), fam).next_key() == AuthKey(0, pad)
+
+
+# "top" is the family's largest key and "count" is |K|, one past it
+@pytest.mark.parametrize("k1", [0, "top", "count", 99, -1, True, False, 1.0, "1", None])
+@pytest.mark.parametrize("name", sorted(PAD_FAMILIES))
+def test_key_stream_takes_a_k1_exactly_when_check_key_does(name, k1):
+    fam = PAD_FAMILIES[name]
+    k1 = {"top": fam.key_count - 1, "count": fam.key_count}.get(k1, k1)
+    want = domain_error(lambda: fam.check_key(k1))
+    assert domain_error(lambda: KeyStream(k1, (0,), fam)) == want
+    if want is None:
+        assert KeyStream(k1, (0,), fam).next_key() == AuthKey(k1, 0)
 
 
 def test_pack_frozen():

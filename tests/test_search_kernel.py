@@ -7,7 +7,7 @@ two must give the same distance and the same witness everywhere the search
 runs.  The premise is tested directly: on every (wire, y-group) of a table
 in either mode and of the counterexample protocol, the oracle's numerator is
 2*nr times the count.  A recycling protocol that breaks the premise is
-refused by the search and still run exactly by uc_distance.
+refused by every run and search.
 """
 
 from collections import Counter
@@ -18,9 +18,12 @@ from hypothesis import given, settings, strategies as st
 from recmac import (
     CounterexampleProtocol,
     DomainError,
+    EnvStrategy,
     TableFamily,
     WcProtocol,
-    statistical_distance,
+    impersonation_distance,
+    run_ideal,
+    run_real,
     uc_distance,
     worst_case_distance,
     worst_case_impersonation,
@@ -29,7 +32,7 @@ from recmac import (
 from recmac import ucsim
 from recmac.ucsim import AuthProtocol
 
-from conftest import counter_search_oracle, counter_tv_numerator, run_oracle
+from conftest import counter_search_oracle, counter_tv_numerator
 
 
 def assert_searches_match_the_oracle(target, recycle):
@@ -68,8 +71,8 @@ def premise_cases(target, recycle):
     """(Counter numerator, nr, count of disagreeing keys) per (wire, y-group) of `target`."""
     proto = WcProtocol(target, recycle) if isinstance(target, TableFamily) else target
     keys = list(proto.keys())
-    rec = [proto.recycled(key) for key in keys]
-    nr = len(proto.recycled_values()) if proto.recycles else 1
+    rec = [key[0] if proto.recycles else None for key in keys]
+    nr = proto.fam.key_count if proto.recycles else 1
     groups = [(x, y, idx) for x in proto.messages for y, idx in ucsim._y_groups(proto, keys, x)]
     groups.append((None, None, range(len(keys))))   # impersonation: never unmodified
     for yp in proto.wire_values():
@@ -98,11 +101,11 @@ def test_the_oracle_numerator_is_the_disagreeing_keys_on_the_counterexample(m):
     assert_the_count_is_the_numerator(CounterexampleProtocol(m), recycle=False)
 
 
-# -- a recycling protocol that only the runs cover ---------------------------------
+# -- a recycling protocol that breaks the premise ----------------------------------
 
 
 class CoarseRecycling(AuthProtocol):
-    """Unpadded tags (x, h_k(x)) whose recycled value is a given function of k.
+    """Unpadded tags (x, h_k(x)) under key (r, k), where the recycled r is a given function of k.
 
     A y-group may hold one recycled value more often than another, so the
     share of disagreeing keys is not the group's distance.
@@ -110,60 +113,49 @@ class CoarseRecycling(AuthProtocol):
 
     recycles = True
 
-    def __init__(self, fam: TableFamily, recycled: list, nr: int):
+    def __init__(self, fam: TableFamily, recycled: list):
         self.fam = fam
         self.messages = fam.messages
         self._recycled = recycled
-        self._nr = nr
 
     def keys(self):
-        return list(range(self.fam.key_count))
+        return [(self._recycled[k], k) for k in self.fam.keys()]
 
     def encode(self, key, x):
-        return (x, self.fam.tag(key, x))
+        return (x, self.fam.tag(key[1], x))
 
     def verdicts(self, keys, wire):
         xp, tp = wire
-        return [xp if self.fam.tag(key, xp) == tp else None for key in keys]
-
-    def recycled(self, key):
-        return self._recycled[key]
-
-    def recycled_values(self):
-        return range(self._nr)
-
-    def wire_values(self):
-        return [(x, t) for x in self.messages for t in self.fam.tags()]
-
-    def check_message(self, x):
-        self.fam.message_index(x)
+        return [xp if self.fam.tag(k, xp) == tp else None for _, k in keys]
 
 
-def test_the_search_refuses_a_recycling_protocol_that_the_runs_still_take():
+def test_every_entry_point_refuses_a_recycling_protocol_that_breaks_the_premise():
     # 6 keys, 3 messages; keys 0-3 all recycle value 0, which fills more than
-    # a third of some y-groups against nr = 3, where counting the disagreeing
-    # keys undercounts the distance
+    # a sixth of some y-groups, where counting the disagreeing keys
+    # undercounts the distance
     fam = TableFamily([0, 1, 2], [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3],
                                   [1, 0, 0], [3, 3, 1]], m=2)
-    proto = CoarseRecycling(fam, [0, 0, 0, 0, 1, 2], nr=3)
+    proto = CoarseRecycling(fam, [0, 0, 0, 0, 1, 2])
     assert any(num != 2 * nr * count for num, nr, count in premise_cases(proto, True))
-    assert_refused_and_run_exactly(proto)
+    assert_refused_everywhere(proto)
 
 
-def assert_refused_and_run_exactly(proto):
-    for search in (worst_case_substitution, worst_case_impersonation, worst_case_distance):
-        with pytest.raises(DomainError, match="WcProtocol"):
-            search(proto)
-    for mode in ("substitution", "impersonation"):
-        d, env = counter_search_oracle(proto, True, mode)
-        assert uc_distance(proto, env) == statistical_distance(*run_oracle(proto, env, True)) == d
+def assert_refused_everywhere(proto):
+    wire = proto.wire_values()[0]
+    envs = (EnvStrategy.substitute(proto.messages[0], {}), EnvStrategy.impersonate(wire))
+    calls = [(search, (proto,)) for search in (
+        worst_case_substitution, worst_case_impersonation, worst_case_distance)]
+    calls += [(run, (proto, env)) for run in (run_real, run_ideal, uc_distance) for env in envs]
+    calls.append((impersonation_distance, (proto, wire)))
+    for call, args in calls:
+        with pytest.raises(DomainError, match="only WcProtocol"):
+            call(*args)
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_any_coarse_recycling_is_refused_and_run_exactly(data):
+def test_any_coarse_recycling_is_refused_everywhere(data):
     fam = data.draw(tables(max_keys=8))
-    nr = data.draw(st.integers(1, 4))
-    recycled = data.draw(st.lists(st.integers(0, nr - 1),
+    recycled = data.draw(st.lists(st.integers(0, fam.key_count - 1),
                                   min_size=fam.key_count, max_size=fam.key_count))
-    assert_refused_and_run_exactly(CoarseRecycling(fam, recycled, nr))
+    assert_refused_everywhere(CoarseRecycling(fam, recycled))

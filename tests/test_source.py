@@ -61,9 +61,10 @@ def test_only_main_parses_the_family_and_picks_the_format():
         (caller, name) for name, caller in CLI_ONE_CALLER.items()}
 
 
-# the worst-case searches count keys by bitmasks: no Counter in ucsim, and the
-# numerator and its popcounts come from the one kernel, called from the one
-# private search that all three public searches wrap
+# the worst-case searches and uc_distance count keys by bitmasks: no Counter in
+# ucsim, and the numerators and their popcounts come from the one kernel, called
+# from uc_distance and from the one private search that all three public
+# searches wrap
 UCSIM = Path(recmac.__file__).parent / "ucsim.py"
 
 
@@ -90,22 +91,29 @@ def test_ucsim_builds_no_counter():
 def test_both_searches_count_through_the_one_kernel():
     found = calls_by_function(UCSIM)
     callers = {name for name, calls in found.items() if "_disagreeing" in calls}
-    assert callers == {"_search"}
+    assert callers == {"_search", "uc_distance"}
     searches = {name for name, calls in found.items() if "_search" in calls}
     assert searches == {"worst_case_substitution", "worst_case_impersonation",
                         "worst_case_distance"}
     popcounts = {name for name, calls in found.items() if "bit_count" in calls}
-    assert popcounts == {"_search"}
+    assert popcounts == {"_search", "uc_distance"}
 
 
 def test_runs_count_in_integers_over_one_pass():
     # a run counts integers over one denominator and its Dist keeps them, so
-    # Fraction is built only for a search's numerators and a caller's weights,
-    # and one private pass makes the deliveries for both worlds
+    # Fraction is built only for the key counts' numerators and a caller's
+    # weights; each run makes one pass over the deliveries of its own world,
+    # and only the outcome-level re-run of a witness builds both Dists
     found = calls_by_function(UCSIM)
     assert {name for name, calls in found.items() if "Fraction" in calls} == {
-        "_search", "substitute"}
-    assert {name for name, calls in found.items() if "_deliveries" in calls} == {"_runs"}
+        "_search", "uc_distance", "substitute"}
+    assert {name for name, calls in found.items() if "_deliveries" in calls} == {
+        "run_real", "run_ideal", "uc_distance"}
+    assert {name for name, calls in found.items() if "Dist" in calls} == {
+        "run_real", "run_ideal", "substitute"}
+    assert {name for name, calls in found.items() if "statistical_distance" in calls} == {
+        "_verified"}
+    assert "verdicts" not in found["run_ideal"]
     dist = calls_by_function(Path(recmac.__file__).parent / "dist.py")
     assert "Fraction" not in dist["project"]
 

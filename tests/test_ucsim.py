@@ -327,27 +327,30 @@ def test_counterexample_substitution_search_is_maximum_over_every_map(m):
 
 
 def test_searches_raise_when_the_witness_rerun_disagrees(monkeypatch):
-    rerun = ucsim.uc_distance
-    monkeypatch.setattr(ucsim, "uc_distance", lambda *args, **kwargs: F(7, 3))
+    # the re-run is the outcome-level distance of the witness's two Dists
+    rerun = ucsim.statistical_distance
+    monkeypatch.setattr(ucsim, "statistical_distance", lambda real, ideal: F(7, 3))
     with pytest.raises(VerificationFailed):
         worst_case_substitution(MulFamily(2), recycle=True)
     with pytest.raises(VerificationFailed):
         worst_case_impersonation(MulFamily(2), recycle=True)
-    # worst_case_distance re-runs both witnesses: either one disagreeing raises
+    # worst_case_distance re-runs both witnesses: either one disagreeing raises;
+    # only a substitution outcome has an x field
     for mode in ("substitution", "impersonation"):
-        def disagree_on(proto, env, mode=mode, **kwargs):
-            return F(7, 3) if env.mode == mode else rerun(proto, env, **kwargs)
+        def disagree_on(real, ideal, mode=mode):
+            on_mode = ("x" in real.fields) == (mode == "substitution")
+            return F(7, 3) if on_mode else rerun(real, ideal)
 
-        monkeypatch.setattr(ucsim, "uc_distance", disagree_on)
+        monkeypatch.setattr(ucsim, "statistical_distance", disagree_on)
         with pytest.raises(VerificationFailed, match="runs at 7/3"):
             worst_case_distance(MulFamily(2), recycle=True)
 
 
 def test_worst_case_distance_makes_one_verdicts_pass(monkeypatch):
     # toeplitz:n=4,m=3 has 16 messages and 8 tags: 128 wire values, and both
-    # witnesses are re-run once each
+    # witnesses are re-run once each; run_real is the re-run's one verdicts() caller
     fam = ToeplitzFamily(4, 3)
-    verdicts, rerun = WcProtocol.verdicts, ucsim.uc_distance
+    verdicts, rerun = WcProtocol.verdicts, ucsim.run_real
     seen = {"verdicts": 0, "reruns": 0}
     in_rerun = []
 
@@ -365,7 +368,7 @@ def test_worst_case_distance_makes_one_verdicts_pass(monkeypatch):
             in_rerun.pop()
 
     monkeypatch.setattr(WcProtocol, "verdicts", counted_verdicts)
-    monkeypatch.setattr(ucsim, "uc_distance", counted_rerun)
+    monkeypatch.setattr(ucsim, "run_real", counted_rerun)
     d, _ = worst_case_distance(fam, recycle=True)
     assert d == F(1, 8)
     assert seen == {"verdicts": 128, "reruns": 2}
@@ -404,6 +407,7 @@ def test_runs_equal_the_per_key_oracle(case):
                       (run_ideal(target, env, recycle), ideal)):
         assert got.fields == want.fields
         assert got.weights == want.weights
+    assert uc_distance(target, env, recycle) == statistical_distance(real, ideal)
 
 
 def test_standard_mode_bounded_by_asu2(table16):
@@ -572,6 +576,31 @@ def test_a_run_builds_each_dist_once(monkeypatch):
                         lambda self, *a: built.append("project") or project(self, *a))
     worst_case_distance(lift_to_asu2(MulFamily(3)))
     assert built == ["init"] * 5
+
+
+@pytest.mark.parametrize("recycle", [False, True])
+@pytest.mark.parametrize("run, dists, verdicts", [
+    (run_real, 1, True), (run_ideal, 1, False), (uc_distance, 0, True)])
+def test_each_run_counts_only_its_own_world(monkeypatch, run, dists, verdicts, recycle):
+    # run_real builds the real Dist alone, run_ideal the ideal one without
+    # asking any verdict, and uc_distance counts keys without a Dist
+    env = EnvStrategy.substitute({0: F(1, 2), 1: F(1, 2)}, {(0, 1): (1, 1)})
+    seen = {"dists": 0, "verdicts": 0}
+    init, ask = Dist.__init__, WcProtocol.verdicts
+
+    def counted_init(self, *a):
+        seen["dists"] += 1
+        init(self, *a)
+
+    def counted_verdicts(self, keys, wire):
+        seen["verdicts"] += 1
+        return ask(self, keys, wire)
+
+    monkeypatch.setattr(Dist, "__init__", counted_init)
+    monkeypatch.setattr(WcProtocol, "verdicts", counted_verdicts)
+    run(MulFamily(2), env, recycle)
+    assert seen["dists"] == dists
+    assert (seen["verdicts"] > 0) == verdicts
 
 
 def test_schema_mismatch_between_modes():
