@@ -9,9 +9,9 @@ of every acceptance event, so the exact engine enumerates k1 only and
 integrates the pads away analytically: it reads measure._eliminated, the
 number of keys at each value of c(k1), and builds every round's report in
 one pass over those counts.  The Monte Carlo engine samples k1 instead:
-a trial hits iff c(k1) is below the number of rounds, h_{k1} is evaluated
-on x and x_sub once per distinct key drawn, and the expected rate is the
-exact share from the same count.  It still draws every pad, as
+a trial hits iff c(k1) is below the number of rounds, read from one column
+of |K| flags built once from measure._difference_column, and the expected
+rate is the share of flags set.  It still draws every pad, as
 sample_transcript does, bit for bit as randrange would, straight from the
 generator's 32-bit words, and reads none of them; when |K| is a power of
 two up to 2^28 (|T| = 2^tag_bits always is one) the words come in bulk
@@ -50,7 +50,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
 from .families import HashFamily
-from .measure import _attack_pair, _eliminated, _three_sigma, measure_axu2
+from .measure import _attack_pair, _difference_column, _eliminated, _three_sigma, measure_axu2
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -139,18 +139,10 @@ class RoundRecord(NamedTuple):
 
 
 class Transcript(Record):
-    __slots__ = ("rounds", "guesses")
-    rounds: tuple[RoundRecord, ...]
-    guesses: tuple[int, ...]   # tag-difference candidates tried, in order
+    """The rounds of one attack run; round i substitutes with guess i."""
 
-    def validate(self) -> None:
-        if len(set(self.guesses)) != len(self.guesses):
-            raise ValueError("eliminated guesses must be pairwise distinct")
-        accepts = [i for i, r in enumerate(self.rounds) if r.accepted]
-        if len(accepts) > 1:
-            raise ValueError("a transcript accepts at most once")
-        if accepts and accepts[0] != len(self.rounds) - 1:
-            raise ValueError("the attack stops substituting after a success")
+    __slots__ = ("rounds",)
+    rounds: tuple[RoundRecord, ...]
 
 
 class AttackReport(Record):
@@ -286,17 +278,15 @@ def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Trans
     pads = tuple(rng.randrange(fam.tag_count) for _ in range(rounds))
     ks = KeyStream(k1, pads, fam)
     recs = []
-    guesses = []
     for i in range(rounds):
         key = ks.next_key()
         ym = authenticate(fam, key, x)
         forged = TaggedMessage(x_sub, ym.t ^ i)
         accepted = verify(fam, key, forged) is not None
         recs.append(RoundRecord(x, ym.t, x_sub, forged.t, accepted))
-        guesses.append(i)
         if accepted:
             break
-    return Transcript(tuple(recs), tuple(guesses))
+    return Transcript(tuple(recs))
 
 
 # The bulk path of run_attack_montecarlo; see its docstring.
@@ -367,9 +357,9 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     and then all of its pads, one per round, as sample_transcript does, bit
     for bit as random.Random.randrange draws them, so a seed gives the hits
     of that many sample_transcript runs on random.Random(seed); the pads are
-    drawn only to keep that stream, and only k1 is read.  c(k1) is evaluated
-    once per distinct k1 drawn.  sample_transcript plays the pads through
-    authenticate and verify.
+    drawn only to keep that stream, and only k1 is read, as an index into
+    one column of flags c(k1) < rounds over all |K| keys.  sample_transcript
+    plays the pads through authenticate and verify.
 
     randrange(n) is getrandbits(n.bit_length()) redrawn while >= n, and
     getrandbits(k <= 32) is the top k bits of one 32-bit word.  So for
@@ -380,11 +370,10 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     and k1 is every (rounds + 1)-th kept word.  Other families, with |K| not
     a power of two or above 2^28, make one getrandbits call a draw.
 
-    Each round of each trial is a cell of the budget.  Apart from a chunk of
-    words of fixed size, memory is the count of each k1 drawn, at most
-    min(trials, |K|) entries, so those cells bound memory as well as time.
-    The expected rate is the exact share of keys the first `rounds` guesses
-    cover, counted over all |K| keys, which the budget holds separately.
+    Each round of each trial is a cell of the budget, and the column's |K|
+    flags are the cells of a second check.  Apart from a chunk of words of
+    fixed size, that column is all the memory.  The expected rate is the
+    share of its flags set: the keys the first `rounds` guesses cover.
     """
     _check_rounds(fam, rounds)
     if trials < 1:
@@ -397,11 +386,10 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
         k1s = _bulk_k1s(getrandbits, kc.bit_length() - 1, rounds + 1, trials)
     else:
         k1s = _drawn_k1s(getrandbits, kc, fam.tag_count, rounds, trials)
-    x, x_sub = _attack_pair(fam)
-    hits = sum(n for k1, n in Counter(k1s).items()
-               if fam.tag(k1, x) ^ fam.tag(k1, x_sub) < rounds)
+    hit = [c < rounds for c in _difference_column(fam, *_attack_pair(fam))]
+    hits = sum(map(hit.__getitem__, k1s))
     rate = Fraction(hits, trials)
-    expected = Fraction(sum(_eliminated(fam)[:rounds]), kc)
+    expected = Fraction(sum(hit), kc)
     p = float(rate)
     pe = float(expected)
     sig = math.sqrt(pe * (1 - pe) / trials)

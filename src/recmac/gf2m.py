@@ -5,8 +5,8 @@ polynomial (bit i = coefficient of x^i).  Addition is XOR.  Multiplication is
 shift-and-reduce modulo a fixed irreducible polynomial of degree m, stored as
 an (m+1)-bit mask.
 
-The default modulus for each degree is the lexicographically smallest
-irreducible polynomial, which gives the usual choices:
+The degree fixes the field: its modulus is the lexicographically smallest
+irreducible polynomial of that degree, which gives the usual choices:
 
     m=2: x^2+x+1      m=3: x^3+x+1      m=4: x^4+x+1
     m=8: x^8+x^4+x^3+x+1
@@ -63,23 +63,17 @@ def is_irreducible(mask: int, m: int) -> bool:
 
 
 class FieldCtx:
-    """A GF(2^m) context: degree, modulus, and element-level operations.
+    """A GF(2^m) context: degree, its modulus DEFAULT_MODULUS[m], and element-level operations.
 
     Instances are immutable after construction apart from the lazily built
     log/antilog tables, which are a pure cache.
     """
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= MAX_DEGREE:
             raise DomainError(f"field degree must be in 1..{MAX_DEGREE}, got {m}")
-        if modulus is None:
-            modulus = DEFAULT_MODULUS[m]
-        if not is_irreducible(modulus, m):
-            raise DomainError(
-                f"modulus {modulus:#b} is not an irreducible polynomial of degree {m}"
-            )
         self.m = m
-        self.modulus = modulus
+        self.modulus = DEFAULT_MODULUS[m]
         self.order = 1 << m
         self._exp: list[int] | None = None
         self._log: list[int] | None = None

@@ -130,8 +130,8 @@ def _eliminated(fam: HashFamily) -> list[int]:
     """Per tag i, the number of keys with h_k(x) ^ h_k(x_sub) = i on the canonical pair.
 
     Guess i of the attack is accepted under exactly these keys, so the first
-    n guesses cover sum(_eliminated(fam)[:n]) keys: the attack, its Monte
-    Carlo's expected rate and the composed distance all read that share.
+    n guesses cover sum(_eliminated(fam)[:n]) keys: the attack and the
+    composed distance read that share.
     """
     counts = Counter(_difference_column(fam, *_attack_pair(fam)))
     return [counts[t] for t in fam.tags()]

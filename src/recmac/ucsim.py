@@ -120,31 +120,29 @@ class AuthProtocol:
 
 
 class WcProtocol(AuthProtocol):
-    """(x, h_{k1}(x) ^ k2) under key (k1, k2), k1 recycled, or (x, h_k(x)) without a pad."""
+    """(x, h_{k1}(x) ^ k2) under key (k1, k2).
+
+    With recycling k2 is a one-time pad over the tags and k1 is handed back;
+    without it every key is (k1, 0), so the tag is h_{k1}(x) unmasked.
+    """
 
     def __init__(self, fam: HashFamily, recycle: bool, budget: int = DEFAULT_BUDGET):
         super().__init__(fam, budget)
         self.recycles = recycle
 
     def keys(self):
-        if self.recycles:
-            return [(k1, k2) for k1 in self.fam.keys() for k2 in self.fam.tags()]
-        return list(self.fam.keys())
+        pads = self.fam.tags() if self.recycles else (0,)
+        return [(k1, k2) for k1 in self.fam.keys() for k2 in pads]
 
     def encode(self, key, x):
-        i = self.fam.message_index(x)
-        if self.recycles:
-            k1, k2 = key
-            return (x, self._tab[k1][i] ^ k2)
-        return (x, self._tab[key][i])
+        k1, k2 = key
+        return (x, self._tab[k1][self.fam.message_index(x)] ^ k2)
 
     def verdicts(self, keys, wire):
         """One validation of `wire`, then its tag column read from the table."""
         xp, i, tp = _split_wire(self.fam, wire)
         tab = self._tab
-        if self.recycles:
-            return [xp if tab[k1][i] ^ k2 == tp else None for k1, k2 in keys]
-        return [xp if tab[k][i] == tp else None for k in keys]
+        return [xp if tab[k1][i] ^ k2 == tp else None for k1, k2 in keys]
 
 
 class CounterexampleProtocol(AuthProtocol):

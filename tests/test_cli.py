@@ -1,5 +1,6 @@
 """Command-line interface: values, determinism, exit codes."""
 
+import ast
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -697,3 +699,27 @@ def readme_output(command: str) -> str:
 ])
 def test_readme_examples_show_the_real_stdout(command):
     assert call_main(command.split()) == (0, readme_output(command), "")
+
+
+def readme_tour() -> tuple[dict, list[tuple[object, str]]]:
+    """Run README.md's python block; its namespace and (value, comment) per expression line."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, shown = block.splitlines(), {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown.append((value, lines[node.lineno - 1].partition("#")[2].strip()))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return namespace, shown
+
+
+def test_readme_library_tour_shows_the_real_values():
+    namespace, shown = readme_tour()
+    assert [value for value, _ in shown[:3]] == [F(1, 8), F(1, 8), F(1, 4)]
+    for value, comment in shown[:3]:
+        assert comment.startswith(repr(value))
+    # the float is shown as its leading digits, cut off, not rounded
+    (value, comment), = shown[3:]
+    assert comment.startswith("1.9387218...") and repr(value).startswith("1.9387218")
+    assert namespace["computed"] == namespace["formula"]

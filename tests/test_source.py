@@ -170,10 +170,12 @@ def test_montecarlo_draws_apart_from_the_protocol_path():
         ["sample_transcript"]
     assert found["sample_transcript"] >= protocol_path
     assert {"_drawn_k1s", "_bulk_k1s"} <= found["run_attack_montecarlo"]
-    # both engines draw and hash nothing but k1; the hit is decided in one place
+    # both engines draw and hash nothing but k1; the hit is decided in one place,
+    # by one c(k1) column that also gives the expected rate
     for engine in ("_drawn_k1s", "_bulk_k1s"):
         assert "getrandbits" in found[engine] and "tag" not in found[engine]
-    assert "tag" in found["run_attack_montecarlo"]
+    assert "_difference_column" in found["run_attack_montecarlo"]
+    assert not {"tag", "_eliminated"} & found["run_attack_montecarlo"]
     defined = {node.name for node in ast.parse(ATTACK.read_text(encoding="utf-8")).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not {"_Draws", "_lanes", "_accepted", "_lane_hits", "_draw_hits"} & defined

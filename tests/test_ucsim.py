@@ -22,6 +22,7 @@ from recmac import (
     DomainError,
     EnvStrategy,
     MulFamily,
+    PolyFamily,
     SchemaMismatch,
     TableFamily,
     ToeplitzFamily,
@@ -43,7 +44,8 @@ from recmac import ucsim
 from recmac.ucsim import FIELDS_IMP, FIELDS_SUB
 
 from conftest import (
-    domain_error, impersonation_tv_oracle, record_contract, run_oracle, substitution_tv_oracle,
+    build_table16, domain_error, impersonation_tv_oracle, record_contract, run_oracle,
+    substitution_tv_oracle,
 )
 
 
@@ -612,22 +614,23 @@ def test_schema_mismatch_between_modes():
         statistical_distance(with_k1, without)
 
 
-def test_wc_protocol_agrees_with_protocol_module():
-    from recmac import AuthKey, authenticate, verify
+@pytest.mark.parametrize("fam", [MulFamily(2), ToeplitzFamily(3, 2), PolyFamily(2, 2),
+                                 build_table16()], ids=["mul2", "toeplitz3x2", "poly2x2",
+                                                        "table16"])
+@pytest.mark.parametrize("recycle", [True, False], ids=["recycle", "unpadded"])
+def test_wc_protocol_agrees_with_protocol_module(fam, recycle):
+    # one tag rule in both modes: every key is (k1, pad), the pad 0 when unpadded
+    from recmac import AuthKey, TaggedMessage, authenticate, verify
 
-    fam = MulFamily(2)
-    proto = WcProtocol(fam, recycle=True)
-    for k1 in fam.keys():
-        for k2 in fam.tags():
-            for x in fam.messages:
-                y = proto.encode((k1, k2), x)
-                assert y == tuple(authenticate(fam, AuthKey(k1, k2), x))
-                for wire in all_wires(fam):
-                    from recmac import TaggedMessage
-
-                    got = proto.receive((k1, k2), wire)
-                    want = verify(fam, AuthKey(k1, k2), TaggedMessage(*wire))
-                    assert got == want
+    proto = WcProtocol(fam, recycle)
+    keys = proto.keys()
+    assert keys == [(k1, k2) for k1 in fam.keys()
+                    for k2 in (fam.tags() if recycle else (0,))]
+    for key in keys:
+        for x in fam.messages:
+            assert proto.encode(key, x) == tuple(authenticate(fam, AuthKey(*key), x))
+        for wire in all_wires(fam):
+            assert proto.receive(key, wire) == verify(fam, AuthKey(*key), TaggedMessage(*wire))
 
 
 @pytest.mark.parametrize("proto", [
