@@ -29,8 +29,8 @@ _EXPORTS = {
     "ucsim": ("EnvStrategy", "WcProtocol", "CounterexampleProtocol", "run_real", "run_ideal",
               "uc_distance", "impersonation_distance", "worst_case_substitution",
               "worst_case_impersonation", "worst_case_distance"),
-    "attack": ("ExactEntropy", "AttackReport", "MonteCarloReport", "Transcript",
-               "RoundRecord", "run_attack_exact", "run_attack_montecarlo",
+    "attack": ("ExactEntropy", "AttackReport", "MonteCarloReport", "RoundRecord",
+               "run_attack_exact", "run_attack_montecarlo",
                "posterior_entropy", "success_recurrence", "sample_transcript", "entropy_of"),
     "compose": ("ToyQkdFunctionality", "ErrorLedger", "compose_ledger",
                 "simulate_composition", "LIST_ELIMINATION", "IDENTITY"),

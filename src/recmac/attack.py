@@ -138,13 +138,6 @@ class RoundRecord(NamedTuple):
     accepted: bool
 
 
-class Transcript(Record):
-    """The rounds of one attack run; round i substitutes with guess i."""
-
-    __slots__ = ("rounds",)
-    rounds: tuple[RoundRecord, ...]
-
-
 class AttackReport(Record):
     __slots__ = ("rounds", "x", "x_sub", "success_prob", "success_formula",
                  "per_round_conditional", "entropy_bits", "entropy_formula_bits")
@@ -269,8 +262,9 @@ def success_recurrence(fam: HashFamily, l_max: int,
     return list(report.per_round_conditional)
 
 
-def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Transcript:
-    """One honestly simulated attack run: fresh pads, real verify calls."""
+def sample_transcript(fam: HashFamily, rounds: int,
+                      rng: random.Random) -> tuple[RoundRecord, ...]:
+    """The rounds of one simulated run with real verify calls; round i substitutes guess i."""
     from .protocol import KeyStream, TaggedMessage, authenticate, verify
 
     x, x_sub = _attack_pair(fam)
@@ -286,7 +280,7 @@ def sample_transcript(fam: HashFamily, rounds: int, rng: random.Random) -> Trans
         recs.append(RoundRecord(x, ym.t, x_sub, forged.t, accepted))
         if accepted:
             break
-    return Transcript(tuple(recs))
+    return tuple(recs)
 
 
 # The bulk path of run_attack_montecarlo; see its docstring.

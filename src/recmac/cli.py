@@ -9,8 +9,8 @@ nondeterministically.  Every subcommand but roundtrip and fieldtab takes --budge
 Each handler cmd_x(args, fam) only computes and returns (doc, header, rows):
 the JSON document, and the CSV header and rows.  main alone parses --family,
 applies --lift (the standard mode on the pad-keyed lift, so never together
-with --recycle) and renders the result as JSON or CSV; a list or None CSV
-cell is written as its JSON text.
+with --recycle) and renders the result as JSON or CSV; a list, tuple or None
+CSV cell is written as its JSON text.
 
 Exit codes: 0 success, 1 budget refusal (exact enumeration, Monte Carlo or
 sampling), 2 usage errors (including malformed descriptors and table files,
@@ -38,26 +38,17 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _msg_json(x):
-    return list(x) if isinstance(x, tuple) else x
-
-
-def _wire_json(w):
-    return [_msg_json(w[0]), w[1]]
-
-
 def strategy_json(env: ucsim.EnvStrategy) -> dict:
     from . import ucsim
     from .dist import outcome_sort_key
 
     if env.mode == ucsim.IMPERSONATION:
-        return {"mode": "impersonation", "inject": _wire_json(env.inject)}
+        return {"mode": "impersonation", "inject": env.inject}
     (x,) = next(iter(env.msg_dist.weights))
-    pairs = sorted(env.subst.items(), key=lambda kv: outcome_sort_key(kv[0]))
     return {
         "mode": "substitution",
-        "message": _msg_json(x),
-        "map": [[_wire_json(y), _wire_json(yp)] for y, yp in pairs],
+        "message": x,
+        "map": sorted(env.subst.items(), key=lambda kv: outcome_sort_key(kv[0])),
     }
 
 
@@ -84,11 +75,11 @@ def _dump_json(obj) -> str:
 
 
 def _dump_csv(header: list[str], rows) -> str:
-    """CSV text; a list or None cell is written as its JSON text."""
+    """CSV text; a list, tuple or None cell is written as its JSON text."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    w.writerows([json.dumps(c) if c is None or isinstance(c, list) else c for c in row]
+    w.writerows([json.dumps(c) if c is None or isinstance(c, (list, tuple)) else c for c in row]
                 for row in rows)
     return buf.getvalue()
 
@@ -127,7 +118,7 @@ def cmd_epsilon(args, fam):
             "pairs_sampled": s.pairs_sampled,
             "pair_coverage": frac_str(s.pair_coverage),
             "seed": s.seed,
-            "witness": [_msg_json(v) for v in s.witness] if s.witness else None,
+            "witness": s.witness,
         }, ["family", "kind", "mode", "epsilon_lower_bound", "pairs_sampled"])
     meas = (measure_axu2 if args.kind == "axu2" else measure_asu2)(fam, budget=args.budget)
     return _one_row({
@@ -135,7 +126,7 @@ def cmd_epsilon(args, fam):
         "kind": meas.kind,
         "mode": "exact",
         "epsilon": frac_str(meas.epsilon),
-        "witness": [_msg_json(v) for v in meas.witness] if meas.witness else None,
+        "witness": meas.witness,
     }, ["family", "kind", "mode", "epsilon", "witness"])
 
 
@@ -278,7 +269,7 @@ def cmd_roundtrip(args, fam):
     tampered = TaggedMessage(back.x, back.t ^ 1)
     doc = {
         "family": fam.descriptor(),
-        "message": _msg_json(x),
+        "message": x,
         "k1": args.k1,
         "pad": args.pad,
         "tag": ym.t,

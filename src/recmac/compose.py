@@ -38,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import (BudgetExceeded, DomainError, Record, VerificationFailed, DEFAULT_BUDGET,
-                     check_budget)
+from .errors import (BudgetExceeded, DomainError, PadExhausted, Record, VerificationFailed,
+                     DEFAULT_BUDGET, check_budget)
 from .families import HashFamily
 from .measure import _eliminated, measure_axu2
 
@@ -48,7 +48,7 @@ IDENTITY = "identity"
 
 
 class ToyQkdFunctionality(Record):
-    """A declared-quality key source: emits out_bits, promises eps_prime."""
+    """A declared-quality key source: emits out_bits a round, promises eps_prime."""
 
     __slots__ = ("out_bits", "eps_prime")
     out_bits: int
@@ -110,6 +110,9 @@ def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
     """
     _check_rounds(qkd_rounds, auths_per_round)
     check_budget(qkd_rounds * (auths_per_round + 1), budget, "error ledger")
+    if qkd.out_bits < auths_per_round * fam.tag_bits:
+        raise PadExhausted(f"the key source emits {qkd.out_bits} bits a round; {auths_per_round} "
+                           f"pads of {fam.descriptor()} need {auths_per_round * fam.tag_bits}")
     ledger = ErrorLedger(qkd_rounds, auths_per_round, measure_axu2(fam, budget=budget).epsilon,
                          qkd.eps_prime)
     return ledger, ledger.total

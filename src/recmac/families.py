@@ -113,10 +113,6 @@ class HashFamily:
 
     # -- wire encoding of messages ------------------------------------------
 
-    def message_to_int(self, x) -> int:
-        """The wire integer of message x: its index in `messages`."""
-        return self.message_index(x)
-
     def message_from_int(self, v: int):
         if not 0 <= v < len(self.messages):
             raise DomainError(

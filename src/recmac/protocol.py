@@ -82,7 +82,7 @@ def _byte_len(bits: int) -> int:
 
 def pack_tagged(fam: HashFamily, ym: TaggedMessage) -> bytes:
     """Wire form: the message's index, then the tag, each big-endian byte-padded."""
-    xv = fam.message_to_int(ym.x)
+    xv = fam.message_index(ym.x)
     fam.check_tag(ym.t)
     return xv.to_bytes(_byte_len(fam.message_bits), "big") + ym.t.to_bytes(
         _byte_len(fam.tag_bits), "big"

@@ -108,10 +108,6 @@ class AuthProtocol:
         """The message each of `keys` accepts for the wire input, or None, in order."""
         raise NotImplementedError
 
-    def receive(self, key, wire: tuple):
-        """Message accepted under `key` for the wire input, or None."""
-        return self.verdicts([key], wire)[0]
-
     def wire_values(self) -> list[tuple]:
         return [(x, t) for x in self.messages for t in self.fam.tags()]
 

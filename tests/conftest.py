@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import itertools
 import pickle
 import random
@@ -212,10 +213,31 @@ def linear_axu2_oracle(fam) -> tuple[Fraction, tuple]:
 # map replaces the observed wire message, the receiver checks.  Recycling
 # mode keys are (k1, pad) with k1 published afterwards; standard mode keys
 # are just the family key.  The ideal receiver accepts only unmodified
-# delivery and its published k1 is uniform, independent of the rest.
+# delivery and its published k1 is uniform, independent of the rest.  Both
+# oracles read each checked tag once per family object, from tag_map.
+
+
+class TagMap(dict):
+    """(k, x) -> fam.tag(k, x) over every key and message of `fam`.
+
+    A miss calls fam.tag, so a non-message still raises DomainError.
+    """
+
+    def __init__(self, fam):
+        super().__init__(((k, x), fam.tag(k, x)) for k in fam.keys() for x in fam.messages)
+        self.fam = fam
+
+    def __missing__(self, kx):
+        return self.fam.tag(*kx)
+
+
+@functools.lru_cache(maxsize=32)
+def tag_map(fam) -> TagMap:
+    return TagMap(fam)
 
 
 def substitution_tv_oracle(fam, x, subst: dict, recycle: bool) -> Fraction:
+    tag = tag_map(fam)
     real: dict[tuple, int] = {}
     ideal: dict[tuple, int] = {}
     if recycle:
@@ -223,15 +245,15 @@ def substitution_tv_oracle(fam, x, subst: dict, recycle: bool) -> Fraction:
         denom = kc * tc * kc
         for k1 in range(kc):
             for pad in range(tc):
-                y = (x, fam.tag(k1, x) ^ pad)
+                y = (x, tag[k1, x] ^ pad)
                 yp = subst.get(y, y)
                 xp, tp = yp
-                out = xp if fam.tag(k1, xp) ^ pad == tp else None
+                out = xp if tag[k1, xp] ^ pad == tp else None
                 cell = (x, y, yp, out, k1)
                 real[cell] = real.get(cell, 0) + kc
         for k1s in range(kc):
             for pad in range(tc):
-                y = (x, fam.tag(k1s, x) ^ pad)
+                y = (x, tag[k1s, x] ^ pad)
                 yp = subst.get(y, y)
                 out = x if yp == y else None
                 for k1 in range(kc):
@@ -240,14 +262,14 @@ def substitution_tv_oracle(fam, x, subst: dict, recycle: bool) -> Fraction:
     else:
         denom = fam.key_count
         for k in fam.keys():
-            y = (x, fam.tag(k, x))
+            y = (x, tag[k, x])
             yp = subst.get(y, y)
             xp, tp = yp
-            out = xp if fam.tag(k, xp) == tp else None
+            out = xp if tag[k, xp] == tp else None
             cell = (x, y, yp, out)
             real[cell] = real.get(cell, 0) + 1
         for k in fam.keys():
-            y = (x, fam.tag(k, x))
+            y = (x, tag[k, x])
             yp = subst.get(y, y)
             out = x if yp == y else None
             cell = (x, y, yp, out)
@@ -259,6 +281,7 @@ def substitution_tv_oracle(fam, x, subst: dict, recycle: bool) -> Fraction:
 
 
 def impersonation_tv_oracle(fam, wire: tuple, recycle: bool) -> Fraction:
+    tag = tag_map(fam)
     xp, tp = wire
     real: dict[tuple, int] = {}
     ideal: dict[tuple, int] = {}
@@ -267,14 +290,14 @@ def impersonation_tv_oracle(fam, wire: tuple, recycle: bool) -> Fraction:
         denom = kc * tc
         for k1 in range(kc):
             for pad in range(tc):
-                out = xp if fam.tag(k1, xp) ^ pad == tp else None
+                out = xp if tag[k1, xp] ^ pad == tp else None
                 cell = (wire, out, k1)
                 real[cell] = real.get(cell, 0) + 1
             ideal[(wire, None, k1)] = tc
     else:
         denom = fam.key_count
         for k in fam.keys():
-            out = xp if fam.tag(k, xp) == tp else None
+            out = xp if tag[k, xp] == tp else None
             cell = (wire, out)
             real[cell] = real.get(cell, 0) + 1
             ideal[(wire, None)] = ideal.get((wire, None), 0) + 1
@@ -359,8 +382,8 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
 #
 # run_real and run_ideal as they first stood in the library: each key adds its
 # own Fraction to its outcome, substitution and impersonation are separate
-# branches, and the real receiver is asked key by key through receive().  It
-# runs on the protocol interface alone (keys, encode, receive, check_message),
+# branches, and the real receiver is asked key by key, verdicts([key], wire)[0].
+# It runs on the protocol interface alone (keys, encode, verdicts, check_message),
 # reads a recycling key's k1 as key[0] and the ideal world's k1 from the
 # family's keys, and skips the budget check.
 
@@ -389,12 +412,12 @@ def real_oracle(proto, keys, env) -> Dist:
             for key in keys:
                 y = proto.encode(key, x)
                 yp = env.deliver(y)
-                out = proto.receive(key, yp)
+                out = proto.verdicts([key], yp)[0]
                 acc[(x, y, yp, out, key[0] if proto.recycles else None)] += w
         return finish_oracle(acc, ("x", "y", "yp", "out"), proto)
     yp = env.inject
     for key in keys:
-        out = proto.receive(key, yp)
+        out = proto.verdicts([key], yp)[0]
         acc[(yp, out, key[0] if proto.recycles else None)] += unit
     return finish_oracle(acc, ("yp", "out"), proto)
 

@@ -656,6 +656,14 @@ STDOUT_PINS = [
      "5afe285b01cfe1aa49f38d9b89967d93829797cdd60fb9cae6a58d684fb2f81a"),
     ("impersonate --family mul:m=2 --inject 1,3 --format csv",
      "105d8fce4dd8d45ee53f6e4e83bb8cefb8b4db5c1f0be76c841623fa2b4a46af"),
+    # tuple-valued cells: nested tuple wires in a JSON map, a tuple wire and a
+    # tuple witness in a CSV cell
+    ("uc-distance --family poly:m=2,L=2 --recycle",
+     "41ecb541ed51a50a44b0db5de07650021d0dcf532c40b75c4c9929f050c505c1"),
+    ("impersonate --family poly:m=2,L=2 --recycle --format csv",
+     "45c595678ed4021379ebc50f5e8ab2f293cbde3a94ee977a26ac7e9ee6c6b179"),
+    ("epsilon --family poly:m=2,L=2 --kind asu2 --format csv",
+     "0dcb77748f5e1afb1914c8b2f41f20817eaa1b065f097b0fd7b015b86bc2c8fc"),
     ("attack --family mul:m=3 --rounds 3 --format json",
      "f7df5075dcf40bc0bf351c161c0ea4fb21a44206299f75c424ae8ba2f75b64c1"),
     ("attack --family mul:m=4 --rounds 2 --montecarlo --trials 500 --seed 1",

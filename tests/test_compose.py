@@ -21,6 +21,7 @@ from recmac import (
     IDENTITY,
     LIST_ELIMINATION,
     MulFamily,
+    PadExhausted,
     PolyFamily,
     TableFamily,
     ToeplitzFamily,
@@ -44,7 +45,7 @@ def test_ledger_frozen_example():
 
 
 def test_ledger_structure():
-    qkd = ToyQkdFunctionality(4, F(1, 10))
+    qkd = ToyQkdFunctionality(6, F(1, 10))
     ledger, bound = compose_ledger(MulFamily(2), 2, 3, qkd)
     assert ledger == ErrorLedger(2, 3, F(1, 4), F(1, 10))
     rows = list(ledger.rows())
@@ -57,6 +58,13 @@ def test_ledger_structure():
     cum = [row[3] for row in rows]
     assert cum == sorted(cum)
     assert cum[-1] == ledger.total == bound
+
+
+def test_ledger_refuses_a_short_pad_supply():
+    # a round spends l pads of tag_bits each: 3 pads of mul:m=2 need 6 bits
+    with pytest.raises(PadExhausted, match="emits 5 bits a round; 3 pads of mul:m=2 need 6"):
+        compose_ledger(MulFamily(2), 1, 3, ToyQkdFunctionality(5, F(0)))
+    assert compose_ledger(MulFamily(2), 1, 3, ToyQkdFunctionality(6, F(0)))[1] == F(3, 4)
 
 
 def test_ledger_closed_form_randomized():
@@ -163,7 +171,7 @@ def test_ledger_rows_are_built_on_demand():
     # hanging on the 10**12 rows below
     assert ErrorLedger.__slots__ == ("qkd_rounds", "auths_per_round", "epsilon", "eps_prime")
     assert inspect.isgeneratorfunction(ErrorLedger.rows)
-    qkd = ToyQkdFunctionality(2, F(1, 10))
+    qkd = ToyQkdFunctionality(2 * 10**6, F(1, 10))
     ledger, bound = compose_ledger(MulFamily(2), 10**6, 10**6, qkd, budget=10**13)
     assert bound == ledger.total == 10**6 * (10**6 * F(1, 4) + F(1, 10))
     assert list(itertools.islice(ledger.rows(), 3)) == [

@@ -160,7 +160,7 @@ def test_message_wire_roundtrip():
                 CounterexampleFamily(2), TableFamily(["a", [1, 2], 3], [[0, 1, 2]]),
                 lift_to_asu2(PolyFamily(2, 2))):
         for i, x in enumerate(fam.messages):
-            assert fam.message_to_int(x) == i < (1 << fam.message_bits)
+            assert fam.message_index(x) == i < (1 << fam.message_bits)
             assert fam.message_from_int(i) == x
         for v in (-1, len(fam.messages)):
             with pytest.raises(DomainError, match="out of range"):
@@ -169,7 +169,7 @@ def test_message_wire_roundtrip():
 
 def test_poly_block_packing_frozen():
     fam = PolyFamily(4, 2)
-    assert fam.message_to_int((2, 1)) == 0x21
+    assert fam.message_index((2, 1)) == 0x21
     assert fam.message_from_int(0x21) == (2, 1)
 
 
@@ -245,14 +245,14 @@ def test_table_family_messages_are_hashable():
     fam = TableFamily([[1, 2], [3]], [[0, 1]])
     assert list(fam.messages) == [(1, 2), (3,)]
     assert fam.tag(0, (1, 2)) == 0 and fam.tag(0, (3,)) == 1
-    assert fam.message_to_int((3,)) == 1
+    assert fam.message_index((3,)) == 1
     with pytest.raises(DomainError):
         fam.tag(0, [1, 2])   # a list is no message, only its tuple is
 
 
 def test_table_family_wire_is_index():
     fam = TableFamily(["alpha", "beta"], [[1, 2], [3, 0]])
-    assert fam.message_to_int("beta") == 1
+    assert fam.message_index("beta") == 1
     assert fam.message_from_int(0) == "alpha"
     assert fam.tag(1, "beta") == 0
 

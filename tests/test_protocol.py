@@ -158,7 +158,7 @@ TAG_ENTRY_POINTS = {
     "verify": lambda fam, t: verify(fam, AuthKey(1, 0), TaggedMessage(1, t)),
     "pad": lambda fam, t: authenticate(fam, AuthKey(1, t), 1),
     "pack_tagged": lambda fam, t: pack_tagged(fam, TaggedMessage(1, t)),
-    "split_wire": lambda fam, t: WcProtocol(fam, False).receive((1, 0), (1, t)),
+    "split_wire": lambda fam, t: WcProtocol(fam, False).verdicts([(1, 0)], (1, t)),
 }
 
 

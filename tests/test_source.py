@@ -119,11 +119,12 @@ def test_runs_count_in_integers_over_one_pass():
 
 
 def test_nothing_in_ucsim_calls_receive():
-    # every run and search asks verdicts() for a whole key group, so a
-    # protocol's one wire check is the only way to its receiver
+    # every run and search asks verdicts() for a whole key group, never for
+    # one key at a time, so a protocol's one wire check serves the group
     tree = ast.parse(UCSIM.read_text(encoding="utf-8"))
     assert not [c for c in ast.walk(tree) if isinstance(c, ast.Call)
-                and isinstance(c.func, ast.Attribute) and c.func.attr == "receive"]
+                and isinstance(c.func, ast.Attribute) and c.func.attr == "verdicts"
+                and c.args and isinstance(c.args[0], ast.List) and len(c.args[0].elts) == 1]
 
 
 def definitions(*names):
@@ -140,8 +141,8 @@ def definitions(*names):
 
 def test_only_the_base_family_encodes_messages():
     # a message's wire integer is its index in `messages`, for every family
-    assert definitions("message_to_int", "message_from_int") == {
-        ("families.py", "HashFamily", "message_to_int"),
+    assert definitions("message_to_int", "message_index", "message_from_int") == {
+        ("families.py", "HashFamily", "message_index"),
         ("families.py", "HashFamily", "message_from_int")}
 
 
@@ -220,7 +221,7 @@ def record_classes():
 def test_value_classes_are_records_with_annotated_slots():
     found = record_classes()
     assert sorted(found) == sorted([
-        "Measurement", "SampledMeasurement", "ExactEntropy", "Transcript", "AttackReport",
+        "Measurement", "SampledMeasurement", "ExactEntropy", "AttackReport",
         "MonteCarloReport", "ToyQkdFunctionality", "ErrorLedger", "EnvStrategy"])
     assert {name: slots for name, (slots, annotated) in found.items()
             if slots != annotated} == {}

@@ -215,11 +215,11 @@ def test_counterexample_protocol_encode_receive():
     for key in proto.keys():
         for x in proto.messages:
             y = proto.encode(key, x)
-            assert proto.receive(key, y) == x
+            assert proto.verdicts([key], y)[0] == x
     with pytest.raises(DomainError):
-        proto.receive((0, 0), (2, 0))
+        proto.verdicts([(0, 0)], (2, 0))
     with pytest.raises(DomainError):
-        proto.receive((0, 0), (0, 9))
+        proto.verdicts([(0, 0)], (0, 9))
     with pytest.raises(DomainError):
         proto.check_message(5)
 
@@ -480,9 +480,9 @@ def test_run_validates_messages_and_wires():
         run_real(fam, EnvStrategy.impersonate((9, 0)), recycle=True)
     proto = WcProtocol(fam, recycle=True)
     with pytest.raises(DomainError):
-        proto.receive((0, 0), (0, 0, 0))
+        proto.verdicts([(0, 0)], (0, 0, 0))
     with pytest.raises(DomainError):
-        proto.receive((0, 0), ([0], 0))   # unhashable message
+        proto.verdicts([(0, 0)], ([0], 0))   # unhashable message
     with pytest.raises(DomainError):
         proto.check_message([0])
     for recycle in (False, True):
@@ -630,17 +630,18 @@ def test_wc_protocol_agrees_with_protocol_module(fam, recycle):
         for x in fam.messages:
             assert proto.encode(key, x) == tuple(authenticate(fam, AuthKey(*key), x))
         for wire in all_wires(fam):
-            assert proto.receive(key, wire) == verify(fam, AuthKey(*key), TaggedMessage(*wire))
+            assert proto.verdicts([key], wire)[0] == \
+                verify(fam, AuthKey(*key), TaggedMessage(*wire))
 
 
 @pytest.mark.parametrize("proto", [
     WcProtocol(MulFamily(2), recycle=True), WcProtocol(ToeplitzFamily(3, 2), recycle=False),
     WcProtocol(lift_to_asu2(MulFamily(1)), recycle=False), CounterexampleProtocol(2),
 ], ids=["mul2-recycle", "toeplitz3x2", "lift-mul1", "counterexample2"])
-def test_verdicts_are_receive_under_every_key(proto):
+def test_batch_verdicts_are_the_single_key_verdicts(proto):
     keys = list(proto.keys())
     for wire in proto.wire_values():
-        assert proto.verdicts(keys, wire) == [proto.receive(key, wire) for key in keys]
+        assert proto.verdicts(keys, wire) == [proto.verdicts([key], wire)[0] for key in keys]
     for bad in ((0, 0, 0), (9, 0), (0, 99)):
         with pytest.raises(DomainError):
             proto.verdicts(keys, bad)
