@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget
+from .errors import DomainError, Record, DEFAULT_BUDGET, check_budget, check_int
 from .families import HashFamily
 from .measure import _attack_pair, _difference_column, _eliminated, _three_sigma, measure_axu2
 
@@ -165,8 +165,7 @@ class MonteCarloReport(Record):
 
 
 def _check_rounds(fam: HashFamily, rounds: int, least: int = 1) -> None:
-    if not least <= rounds <= fam.tag_count:
-        raise DomainError(f"rounds must be in {least}..{fam.tag_count}")
+    check_int(rounds, least, fam.tag_count, "rounds")
 
 
 def _difference_counts(fam: HashFamily, budget: int) -> list[int]:
@@ -256,8 +255,7 @@ def success_recurrence(fam: HashFamily, l_max: int,
     Requires l_max <= |T| - 1 so the conditioning event has positive
     probability throughout.
     """
-    if not 0 <= l_max <= fam.tag_count - 1:
-        raise DomainError(f"l_max must be in 0..{fam.tag_count - 1}")
+    check_int(l_max, 0, fam.tag_count - 1, "l_max")
     report = next(_reports(fam, _difference_counts(fam, budget), l_max + 1, l_max + 1))
     return list(report.per_round_conditional)
 
@@ -370,8 +368,7 @@ def run_attack_montecarlo(fam: HashFamily, rounds: int, trials: int,
     share of its flags set: the keys the first `rounds` guesses cover.
     """
     _check_rounds(fam, rounds)
-    if trials < 1:
-        raise DomainError("need at least one trial")
+    check_int(trials, 1, None, "trials")
     check_budget(trials * rounds, budget, "Monte Carlo attack")
     check_budget(fam.key_count, budget, "exact expected rate of the Monte Carlo attack")
     getrandbits = random.Random(seed).getrandbits

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import (BudgetExceeded, DomainError, PadExhausted, Record, VerificationFailed,
-                     DEFAULT_BUDGET, check_budget)
+                     DEFAULT_BUDGET, check_budget, check_int)
 from .families import HashFamily
 from .measure import _eliminated, measure_axu2
 
@@ -55,10 +55,9 @@ class ToyQkdFunctionality(Record):
     eps_prime: Fraction
 
     def _check(self):
-        if self.out_bits < 0:
-            raise DomainError("out_bits must be non-negative")
-        if not 0 <= self.eps_prime <= 1:
-            raise DomainError("eps_prime must be a probability")
+        check_int(self.out_bits, 0, None, "out_bits")
+        if type(self.eps_prime) not in (int, Fraction) or not 0 <= self.eps_prime <= 1:
+            raise DomainError("eps_prime must be an exact probability, an int or a Fraction")
 
 
 class ErrorLedger(Record):
@@ -96,8 +95,8 @@ class ErrorLedger(Record):
 
 
 def _check_rounds(qkd_rounds: int, auths_per_round: int) -> None:
-    if qkd_rounds < 1 or auths_per_round < 1:
-        raise DomainError("need at least one round of each kind")
+    check_int(qkd_rounds, 1, None, "qkd rounds")
+    check_int(auths_per_round, 1, None, "authentications per round")
 
 
 def compose_ledger(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
@@ -136,7 +135,7 @@ def simulate_composition(fam: HashFamily, qkd_rounds: int, auths_per_round: int,
         raise DomainError(f"unknown environment {env!r}")
     _check_rounds(qkd_rounds, auths_per_round)
     n = qkd_rounds * auths_per_round
-    if fam.tag_bits * n >= budget.bit_length():
+    if fam.tag_bits * n >= check_int(budget, 0, None, "budget").bit_length():
         raise BudgetExceeded(f"multi-round outcome space needs {fam.key_count}*{fam.tag_count}^{n}"
                              f" cells, budget is {budget}")
     check_budget(fam.key_count * fam.tag_count ** n, budget, "multi-round outcome space")

@@ -7,6 +7,13 @@ counts its cells from the sizes of its inputs and passes them to
 check_budget before it builds anything.  The size caps of the family
 constructors and of the field tables are fixed limits, not budgets.
 
+Every integer argument (a key, tag, pad, message of a range family, field
+element or degree, count of rounds, trials, pairs or blocks, out_bits, a
+budget) is an `int` that is not a `bool`, and check_int is its one check.
+Anything else is a DomainError, even a float equal to an integer.  A
+non-family passed where a family is expected is left to Python's own
+TypeError or AttributeError.
+
 Record is the one base of the package's frozen value classes (measurements,
 reports, ledgers, environment strategies).  It lives here because every
 module that defines one already imports this one, and it stands in for
@@ -29,9 +36,21 @@ class BudgetExceeded(RuntimeError):
     """
 
 
+def check_int(v, lo: int, hi: int | None, what: str, of=None) -> int:
+    """v if it is an int, not a bool, in lo..hi (no upper end if hi is None).
+
+    Else a DomainError naming `what` and the family `of`, built only then.
+    """
+    if type(v) is int and lo <= v and (hi is None or v <= hi):
+        return v
+    name = what if of is None else f"{what} of {of.descriptor()}"
+    span = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+    raise DomainError(f"{name} must be {span}; {v!r} is out of range")
+
+
 def check_budget(work: int, budget: int, what: str) -> None:
-    """Refuse `what` unless its `work` cells fit the `budget`."""
-    if work > budget:
+    """Refuse `what` unless its `work` cells fit the `budget`, itself checked first."""
+    if work > check_int(budget, 0, None, "budget"):
         raise BudgetExceeded(f"{what} needs {work} cells, budget is {budget}")
 
 

@@ -21,9 +21,9 @@ Families:
 
 Messages are numbered by their position in `messages`; that index is a
 message's integer on the wire, encoded and decoded by HashFamily alone.
-Mul, Toeplitz and Counterexample messages are the integers themselves, and
-Poly's L-tuples come in product order, so the index packs the blocks
-big-endian, m bits each.
+Mul, Toeplitz and Counterexample messages are the ints themselves, each its
+own index, and Poly's L-tuples come in product order, so the index packs the
+blocks big-endian, m bits each.
 
 Mul, Poly and Toeplitz are XOR-linear in the message: h_k(x1) ^ h_k(x2) =
 h_k(x1 ^ x2).  The `xor_linear` flag records that structural fact; measure.py
@@ -38,7 +38,7 @@ import itertools
 import json
 from typing import Sequence
 
-from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET, check_budget
+from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET, check_budget, check_int
 from .gf2m import FieldCtx
 
 
@@ -69,6 +69,8 @@ class HashFamily:
         return range(self.key_count)
 
     def message_index(self, x) -> int:
+        if type(self.messages) is range:   # a message is its own index; no dict
+            return check_int(x, 0, len(self.messages) - 1, "message", self)
         if self._msg_index is None:
             self._msg_index = {m: i for i, m in enumerate(self.messages)}
         try:
@@ -77,14 +79,10 @@ class HashFamily:
             raise DomainError(f"{x!r} is not a message of {self.descriptor()}") from None
 
     def check_key(self, k: int) -> int:
-        if type(k) is not int or not 0 <= k < self.key_count:  # bool is no key
-            raise DomainError(f"key {k!r} out of range for {self.descriptor()}")
-        return k
+        return check_int(k, 0, self.key_count - 1, "key", self)
 
     def check_tag(self, t: int, what: str = "tag") -> int:
-        if type(t) is not int or not 0 <= t < self.tag_count:  # bool is no tag
-            raise DomainError(f"{what} {t!r} out of range for {self.descriptor()}")
-        return t
+        return check_int(t, 0, self.tag_count - 1, what, self)
 
     # -- evaluation --------------------------------------------------------
 
@@ -114,10 +112,7 @@ class HashFamily:
     # -- wire encoding of messages ------------------------------------------
 
     def message_from_int(self, v: int):
-        if not 0 <= v < len(self.messages):
-            raise DomainError(
-                f"message {v} out of range 0..{len(self.messages) - 1} for {self.descriptor()}")
-        return self.messages[v]
+        return self.messages[check_int(v, 0, len(self.messages) - 1, "message index", self)]
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -155,13 +150,12 @@ class PolyFamily(HashFamily):
 
     def __init__(self, m: int, length: int):
         super().__init__()
-        if length < 1:
-            raise DomainError("poly family needs at least one block")
+        self.field = FieldCtx(m)
+        check_int(length, 1, None, "poly block count")
         if m * length > 20:
             raise BudgetExceeded(
                 f"poly message space 2^{m * length} is too large to enumerate"
             )
-        self.field = FieldCtx(m)
         self.length = length
         self.tag_bits = m
         self.message_bits = m * length
@@ -194,8 +188,8 @@ class ToeplitzFamily(HashFamily):
 
     def __init__(self, n: int, m: int):
         super().__init__()
-        if n < 1 or m < 1:
-            raise DomainError("toeplitz family needs n >= 1 and m >= 1")
+        check_int(n, 1, None, "toeplitz n")
+        check_int(m, 1, None, "toeplitz m")
         if n > 16 or m > 16:
             raise BudgetExceeded("toeplitz spaces beyond 16 bits are not enumerable here")
         self.field = FieldCtx(m)
@@ -261,19 +255,13 @@ class TableFamily(HashFamily):
             if len(r) != len(messages):
                 raise DomainError("every table row must have one tag per message")
             for t in r:
-                if type(t) is not int:  # bool is an int subclass, and no tag
-                    raise DomainError(f"tags must be integers, got {t!r}")
-        if m is not None and type(m) is not int:
-            raise DomainError(f"tag width m must be an integer, got {m!r}")
+                check_int(t, 0, None, "table tag")
         max_tag = max(max(r) for r in rows)
-        min_tag = min(min(r) for r in rows)
-        if min_tag < 0:
-            raise DomainError("tags must be non-negative")
         if m is None:
             m = max(1, max_tag.bit_length())
+        self.field = FieldCtx(m)   # checks the tag width m
         if max_tag >= (1 << m):
             raise DomainError(f"tag {max_tag} does not fit in {m} bits")
-        self.field = FieldCtx(m)
         self.tag_bits = m
         self.message_bits = max(1, (len(messages) - 1).bit_length())
         self.key_count = len(rows)
@@ -293,7 +281,7 @@ class TableFamily(HashFamily):
             raise DomainError(f"malformed table file {path}: {exc}") from None
         if not isinstance(table, list):
             raise DomainError(f"malformed table file {path}: 'table' must be a list of rows")
-        if keys != len(table):
+        if check_int(keys, 0, None, f"'keys' of {path}") != len(table):
             raise DomainError(f"{path}: 'keys' is {keys} but table has {len(table)} rows")
         return cls(messages, table, m=doc.get("m"), source=f"@{path}")
 

@@ -18,7 +18,7 @@ is built lazily on first multiplication.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 MAX_DEGREE = 16
 
@@ -70,9 +70,7 @@ class FieldCtx:
     """
 
     def __init__(self, m: int):
-        if not 1 <= m <= MAX_DEGREE:
-            raise DomainError(f"field degree must be in 1..{MAX_DEGREE}, got {m}")
-        self.m = m
+        self.m = check_int(m, 1, MAX_DEGREE, "field degree")
         self.modulus = DEFAULT_MODULUS[m]
         self.order = 1 << m
         self._exp: list[int] | None = None
@@ -82,9 +80,7 @@ class FieldCtx:
         return f"FieldCtx(m={self.m}, modulus={self.modulus:#b})"
 
     def check(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise DomainError(f"{a} is not a GF(2^{self.m}) element")
-        return a
+        return check_int(a, 0, self.order - 1, "field element")
 
     def elements(self) -> range:
         return range(self.order)
@@ -126,12 +122,12 @@ class FieldCtx:
         raise AssertionError("no generator found; modulus cannot be irreducible")
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
+        n = self.order - 1
+        check_int(a, 0, n, "field element")   # self.check's rule, inlined: mul is hot
+        check_int(b, 0, n, "field element")
         if a == 0 or b == 0:
             return 0
         self._ensure_tables()
-        n = self.order - 1
         return self._exp[(self._log[a] + self._log[b]) % n]
 
     def mul_row(self, a: int) -> list[int]:
@@ -145,8 +141,7 @@ class FieldCtx:
 
     def pow(self, a: int, e: int) -> int:
         self.check(a)
-        if e < 0:
-            raise DomainError("negative exponent; use inv() first")
+        check_int(e, 0, None, "exponent")
         r = 1
         base = a
         while e:

@@ -86,7 +86,8 @@ from functools import partial
 from itertools import combinations, repeat
 from operator import xor
 
-from .errors import DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget
+from .errors import (DomainError, Record, VerificationFailed, DEFAULT_BUDGET, check_budget,
+                     check_int)
 from .families import HashFamily, LiftedFamily
 
 
@@ -254,8 +255,7 @@ def sample_axu2(fam: HashFamily, pairs: int = 1000, seed: int = 0,
     Each sampled pair costs one cell per key, and the total is held to the
     budget like every exact enumeration.
     """
-    if pairs < 1:
-        raise DomainError(f"need at least one sampled pair, got {pairs}")
+    check_int(pairs, 1, None, "sampled pairs")
     check_budget(pairs * fam.key_count, budget, f"sampling {pairs} pairs of {fam.descriptor()}")
     if len(fam.messages) < 2:
         return SampledMeasurement("axu2", Fraction(0), (0.0, 0.0), 0, Fraction(1), seed, None)

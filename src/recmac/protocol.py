@@ -61,9 +61,7 @@ class KeyStream:
 
     def __init__(self, k1: int, pads: tuple[int, ...], fam: HashFamily):
         self.k1 = fam.check_key(k1)
-        self.pads = tuple(pads)
-        for p in self.pads:
-            fam.check_tag(p, "pad")
+        self.pads = tuple([fam.check_tag(p, "pad") for p in pads])
         self.cursor = 0
 
     def next_key(self) -> AuthKey:

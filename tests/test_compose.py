@@ -106,6 +106,18 @@ def test_qkd_functionality_validation():
         compose_ledger(MulFamily(2), 0, 1, ToyQkdFunctionality(2, F(0)))
 
 
+@pytest.mark.parametrize("eps_prime", [0.25, True, 1.0], ids=repr)
+def test_qkd_eps_prime_is_exact(eps_prime):
+    # a float or bool eps' would turn the ledger's total into a float or a bool's value
+    with pytest.raises(DomainError, match="eps_prime"):
+        ToyQkdFunctionality(4, eps_prime)
+
+
+def test_ledger_total_is_a_fraction_for_an_int_eps_prime():
+    _, total = compose_ledger(MulFamily(2), 2, 2, ToyQkdFunctionality(4, 0))
+    assert type(total) is F and total == 1
+
+
 def test_simulation_identity_environment_is_zero():
     for r, l in ((1, 1), (2, 1), (1, 3), (2, 2)):
         assert simulate_composition(MulFamily(2), r, l, env=IDENTITY) == 0

@@ -167,6 +167,30 @@ def test_message_wire_roundtrip():
                 fam.message_from_int(v)
 
 
+RANGE_MESSAGE_FAMILIES = [MulFamily(2), ToeplitzFamily(2, 2), CounterexampleFamily(2),
+                          lift_to_asu2(MulFamily(2))]
+
+
+@pytest.mark.parametrize("x", [True, 1.0, 2.0], ids=repr)
+@pytest.mark.parametrize("fam", RANGE_MESSAGE_FAMILIES, ids=lambda f: f.descriptor())
+def test_range_families_refuse_a_bool_or_float_message(fam, x):
+    # range membership compares by value, so only the int rule tells 1 from True
+    with pytest.raises(DomainError, match="out of range"):
+        fam.message_index(x)
+    with pytest.raises(DomainError):
+        fam.tag(1, x)
+
+
+def test_range_messages_are_their_own_index_and_build_no_dict():
+    for fam in (MulFamily(16), ToeplitzFamily(16, 16)):
+        fam.tag(1, 5)
+        assert fam.message_index(5) == 5
+        assert fam._msg_index is None
+    for fam, x in ((PolyFamily(2, 2), (1, 0)), (TableFamily(["a", "b"], [[0, 1]]), "b")):
+        fam.tag(0, x)
+        assert fam._msg_index is not None
+
+
 def test_poly_block_packing_frozen():
     fam = PolyFamily(4, 2)
     assert fam.message_index((2, 1)) == 0x21
@@ -266,6 +290,14 @@ def test_table_from_json_roundtrip(tmp_path):
     assert fam.tag_bits == 2
     assert fam.tag(1, 0) == 2
     assert fam.descriptor() == f"table:@{path}"
+
+
+@pytest.mark.parametrize("keys", [True, 1.0, "1", None], ids=repr)
+def test_table_file_keys_is_an_int(tmp_path, keys):
+    path = tmp_path / "one_row.json"
+    path.write_text(json.dumps({"keys": keys, "messages": [0], "table": [[0]]}))
+    with pytest.raises(DomainError, match="'keys'"):
+        TableFamily.from_json(str(path))
 
 
 def test_table_from_json_errors(tmp_path):
