@@ -15,7 +15,7 @@ CSV cell is written as its JSON text.
 Exit codes: 0 success, 1 budget refusal (exact enumeration, Monte Carlo or
 sampling), 2 usage errors (including malformed descriptors and table files,
 out-of-range parameters, unknown flags, flags that do not combine and an
---out file that cannot be written), on one stderr line.
+--out file that cannot be written), on one stderr line, its line breaks escaped.
 """
 
 from __future__ import annotations
@@ -296,11 +296,17 @@ def cmd_fieldtab(args, fam):
 # -- parser -------------------------------------------------------------------
 
 
+def _fail(code: int, text: str) -> int:
+    """Write text to stderr as one line, each line break in it escaped; return code."""
+    print("".join(ascii(c)[1:-1] if c.splitlines() == [""] else c for c in text), file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors are one stderr line and exit 2, like every other error."""
 
     def error(self, message):
-        self.exit(2, f"recmac: error: {message}\n")
+        self.exit(_fail(2, f"recmac: error: {message}"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,11 +406,9 @@ def main(argv=None) -> int:
             fam = lift_to_asu2(fam)
         _emit(args, _render(args.format, *args.handler(args, fam)))
     except BudgetExceeded as exc:
-        print(f"recmac: budget refusal: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"recmac: budget refusal: {exc}")
     except (DomainError, OSError, ValueError, ZeroDivisionError) as exc:
-        print(f"recmac: error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"recmac: error: {exc}")
     return 0
 
 

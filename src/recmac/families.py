@@ -23,7 +23,7 @@ Messages are numbered by their position in `messages`; that index is a
 message's integer on the wire, encoded and decoded by HashFamily alone.
 Mul, Toeplitz and Counterexample messages are the ints themselves, each its
 own index, and Poly's L-tuples come in product order, so the index packs the
-blocks big-endian, m bits each.
+blocks big-endian, m bits each.  A lookup is exact: True is no message 1.
 
 Mul, Poly and Toeplitz are XOR-linear in the message: h_k(x1) ^ h_k(x2) =
 h_k(x1 ^ x2).  The `xor_linear` flag records that structural fact; measure.py
@@ -42,6 +42,11 @@ from .errors import BudgetExceeded, DomainError, DEFAULT_BUDGET, check_budget, c
 from .gf2m import FieldCtx
 
 
+def _exact(x):
+    """x with its type and its blocks' types: True matches no message 1, (True, 1) no (1, 1)."""
+    return x, type(x), (tuple(map(type, x)) if type(x) is tuple else ())
+
+
 class HashFamily:
     """Base class; subclasses set the spaces and implement _tag()."""
 
@@ -51,10 +56,8 @@ class HashFamily:
     key_count: int
     messages: Sequence
     xor_linear: bool = False
-
-    def __init__(self) -> None:
-        self._msg_index: dict | None = None
-        self._table: list[list[int]] | None = None
+    _msg_index: dict | None = None        # exact message -> index, built on first lookup
+    _table: list[list[int]] | None = None  # the tag table, built on first use
 
     # -- spaces ------------------------------------------------------------
 
@@ -72,9 +75,9 @@ class HashFamily:
         if type(self.messages) is range:   # a message is its own index; no dict
             return check_int(x, 0, len(self.messages) - 1, "message", self)
         if self._msg_index is None:
-            self._msg_index = {m: i for i, m in enumerate(self.messages)}
+            self._msg_index = {_exact(m): i for i, m in enumerate(self.messages)}
         try:
-            return self._msg_index[x]
+            return self._msg_index[_exact(x)]
         except (KeyError, TypeError):
             raise DomainError(f"{x!r} is not a message of {self.descriptor()}") from None
 
@@ -125,7 +128,6 @@ class MulFamily(HashFamily):
     """h_k(x) = k*x in GF(2^m); zero message and zero key allowed."""
 
     def __init__(self, m: int):
-        super().__init__()
         self.field = FieldCtx(m)
         self.tag_bits = m
         self.message_bits = m
@@ -149,7 +151,6 @@ class PolyFamily(HashFamily):
     """
 
     def __init__(self, m: int, length: int):
-        super().__init__()
         self.field = FieldCtx(m)
         check_int(length, 1, None, "poly block count")
         if m * length > 20:
@@ -187,7 +188,6 @@ class ToeplitzFamily(HashFamily):
     """
 
     def __init__(self, n: int, m: int):
-        super().__init__()
         check_int(n, 1, None, "toeplitz n")
         check_int(m, 1, None, "toeplitz m")
         if n > 16 or m > 16:
@@ -236,7 +236,6 @@ class TableFamily(HashFamily):
 
     def __init__(self, messages: Sequence, table: Sequence[Sequence[int]],
                  m: int | None = None, source: str = "inline"):
-        super().__init__()
         try:
             messages = [_table_message(x) for x in messages]
         except TypeError:
@@ -267,6 +266,7 @@ class TableFamily(HashFamily):
         self.key_count = len(rows)
         self.messages = messages
         self._rows = rows
+        self._column = {x: i for i, x in enumerate(messages)}   # _tag's x is checked already
         self._source = source
 
     @classmethod
@@ -286,7 +286,7 @@ class TableFamily(HashFamily):
         return cls(messages, table, m=doc.get("m"), source=f"@{path}")
 
     def _tag(self, k: int, x) -> int:
-        return self._rows[k][self.message_index(x)]
+        return self._rows[k][self._column[x]]
 
     def descriptor(self) -> str:
         return f"table:{self._source}"
@@ -301,7 +301,6 @@ class CounterexampleFamily(HashFamily):
     """
 
     def __init__(self, m: int):
-        super().__init__()
         self.field = FieldCtx(m)
         self.tag_bits = m
         self.message_bits = 1
@@ -325,7 +324,6 @@ class LiftedFamily(HashFamily):
     """
 
     def __init__(self, base: HashFamily):
-        super().__init__()
         self.base = base
         self.field = base.field
         self.tag_bits = base.tag_bits

@@ -12,7 +12,7 @@ caller, so tests and simulations control every bit.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError, PadExhausted
 from .families import HashFamily
@@ -29,9 +29,8 @@ class TaggedMessage(NamedTuple):
 
 
 def authenticate(fam: HashFamily, key: AuthKey, x) -> TaggedMessage:
-    """Encode x as (x, h_{k1}(x) ^ k2)."""
-    _check_key(fam, key)
-    return TaggedMessage(x, fam.tag(key.k1, x) ^ key.k2)
+    """Encode x as (x, h_{k1}(x) ^ k2); fam.tag checks k1 and x, check_tag the pad."""
+    return TaggedMessage(x, fam.tag(key.k1, x) ^ fam.check_tag(key.k2, "pad"))
 
 
 def verify(fam: HashFamily, key: AuthKey, ym: TaggedMessage):
@@ -41,14 +40,8 @@ def verify(fam: HashFamily, key: AuthKey, ym: TaggedMessage):
     rejection run the same shape of work regardless of where the input is
     wrong.
     """
-    _check_key(fam, key)
-    expected = fam.tag(key.k1, ym.x) ^ key.k2
+    expected = fam.tag(key.k1, ym.x) ^ fam.check_tag(key.k2, "pad")
     return ym.x if expected == fam.check_tag(ym.t) else None
-
-
-def _check_key(fam: HashFamily, key: AuthKey) -> None:
-    fam.check_key(key.k1)
-    fam.check_tag(key.k2, "pad")
 
 
 class KeyStream:
@@ -81,10 +74,8 @@ def _byte_len(bits: int) -> int:
 def pack_tagged(fam: HashFamily, ym: TaggedMessage) -> bytes:
     """Wire form: the message's index, then the tag, each big-endian byte-padded."""
     xv = fam.message_index(ym.x)
-    fam.check_tag(ym.t)
-    return xv.to_bytes(_byte_len(fam.message_bits), "big") + ym.t.to_bytes(
-        _byte_len(fam.tag_bits), "big"
-    )
+    return xv.to_bytes(_byte_len(fam.message_bits), "big") + fam.check_tag(ym.t).to_bytes(
+        _byte_len(fam.tag_bits), "big")
 
 
 def unpack_tagged(fam: HashFamily, data: bytes) -> TaggedMessage:

@@ -86,9 +86,9 @@ def _split_wire(fam: HashFamily, wire) -> tuple:
 class AuthProtocol:
     """One-round protocol on a hash family; a protocol defines keys, encode and verdicts.
 
-    The messages, the tag table, the wire values (messages x tags, in order)
-    and the message check are read from the family here alone.  Only
-    WcProtocol may set `recycles`.
+    The messages, the tag table and the wire values (messages x tags, in order)
+    are read from the family here alone; encode and verdicts answer for all
+    keys after one check of their input.  Only WcProtocol may set `recycles`.
     """
 
     recycles: bool = False
@@ -101,7 +101,8 @@ class AuthProtocol:
     def keys(self) -> Sequence:
         raise NotImplementedError
 
-    def encode(self, key, x) -> tuple:
+    def encode(self, keys: Sequence, x) -> list[tuple]:
+        """The wire message each of `keys` sends for message x, in order."""
         raise NotImplementedError
 
     def verdicts(self, keys: Sequence, wire: tuple) -> list:
@@ -110,9 +111,6 @@ class AuthProtocol:
 
     def wire_values(self) -> list[tuple]:
         return [(x, t) for x in self.messages for t in self.fam.tags()]
-
-    def check_message(self, x) -> None:
-        self.fam.message_index(x)
 
 
 class WcProtocol(AuthProtocol):
@@ -130,9 +128,10 @@ class WcProtocol(AuthProtocol):
         pads = self.fam.tags() if self.recycles else (0,)
         return [(k1, k2) for k1 in self.fam.keys() for k2 in pads]
 
-    def encode(self, key, x):
-        k1, k2 = key
-        return (x, self._tab[k1][self.fam.message_index(x)] ^ k2)
+    def encode(self, keys, x):
+        i = self.fam.message_index(x)
+        tab = self._tab
+        return [(x, tab[k1][i] ^ k2) for k1, k2 in keys]
 
     def verdicts(self, keys, wire):
         """One validation of `wire`, then its tag column read from the table."""
@@ -156,10 +155,9 @@ class CounterexampleProtocol(AuthProtocol):
     def keys(self):
         return [(a, b) for a in range(2) for b in self.fam.keys()]
 
-    def encode(self, key, x):
-        a, b = key
-        w = x ^ a
-        return (w, self._tab[b][w])
+    def encode(self, keys, x):
+        i = self.fam.message_index(x)
+        return [(i ^ a, self._tab[b][i ^ a]) for a, b in keys]
 
     def verdicts(self, keys, wire):
         _, w, tp = _split_wire(self.fam, wire)
@@ -206,7 +204,10 @@ class EnvStrategy(Record):
         elif isinstance(x_or_dist, dict):
             md = Dist(("x",), {(x,): Fraction(w) for x, w in x_or_dist.items()})
         else:
-            md = Dist.point(("x",), (x_or_dist,))
+            try:
+                md = Dist.point(("x",), (x_or_dist,))
+            except TypeError:   # unhashable, so no message of any family
+                raise DomainError(f"message {x_or_dist!r} is unhashable") from None
         return cls(SUBSTITUTION, msg_dist=md, subst=dict(subst or {}))
 
     @classmethod
@@ -247,8 +248,8 @@ def _admitted(fam_or_proto, recycle: bool, budget: int, what: str,
 def _y_groups(proto: AuthProtocol, keys: list, x) -> list[tuple[tuple, list]]:
     """(y, the indices of the keys that send y on x) per wire message y, y ascending."""
     by_y: dict[tuple, list] = defaultdict(list)
-    for i, key in enumerate(keys):
-        by_y[proto.encode(key, x)].append(i)
+    for i, y in enumerate(proto.encode(keys, x)):
+        by_y[y].append(i)
     return sorted(by_y.items(), key=lambda item: outcome_sort_key(item[0]))
 
 
@@ -274,7 +275,6 @@ def _deliveries(fam_or_proto, env: EnvStrategy, recycle: bool,
             ((env.inject,), 1, range(len(keys)), env.inject, None)]
     deliveries = []
     for (x,), w in env.msg_dist.counts.items():
-        proto.check_message(x)
         for y, idx in _y_groups(proto, keys, x):
             yp = env.deliver(y)
             deliveries.append(((x, y, yp), w, idx, yp, x if yp == y else None))

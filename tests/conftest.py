@@ -355,7 +355,7 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
     for x in proto.messages:
         by_y: dict[tuple, list] = defaultdict(list)
         for i, key in enumerate(keys):
-            by_y[proto.encode(key, x)].append(i)
+            by_y[proto.encode([key], x)[0]].append(i)
         lo = len(groups)
         groups.extend((x, y, by_y[y]) for y in sorted(by_y, key=outcome_sort_key))
         spans.append((x, lo, len(groups)))
@@ -383,9 +383,9 @@ def counter_search_oracle(target, recycle: bool, mode: str) -> tuple[Fraction, E
 # run_real and run_ideal as they first stood in the library: each key adds its
 # own Fraction to its outcome, substitution and impersonation are separate
 # branches, and the real receiver is asked key by key, verdicts([key], wire)[0].
-# It runs on the protocol interface alone (keys, encode, verdicts, check_message),
-# reads a recycling key's k1 as key[0] and the ideal world's k1 from the
-# family's keys, and skips the budget check.
+# It runs on the protocol interface alone (keys, encode, verdicts) and checks a
+# message with the family's message_index, reads a recycling key's k1 as key[0]
+# and the ideal world's k1 from the family's keys, and skips the budget check.
 
 
 def finish_oracle(acc, nonrec_fields, proto) -> Dist:
@@ -407,10 +407,10 @@ def real_oracle(proto, keys, env) -> Dist:
     acc: dict[tuple, Fraction] = defaultdict(Fraction)
     if env.mode == "substitution":
         for (x,), px in env.msg_dist.items():
-            proto.check_message(x)
+            proto.fam.message_index(x)
             w = px * unit
             for key in keys:
-                y = proto.encode(key, x)
+                y = proto.encode([key], x)[0]
                 yp = env.deliver(y)
                 out = proto.verdicts([key], yp)[0]
                 acc[(x, y, yp, out, key[0] if proto.recycles else None)] += w
@@ -429,10 +429,10 @@ def ideal_oracle(proto, keys, env) -> Dist:
     acc: dict[tuple, Fraction] = defaultdict(Fraction)
     if env.mode == "substitution":
         for (x,), px in env.msg_dist.items():
-            proto.check_message(x)
+            proto.fam.message_index(x)
             ymarg: dict[tuple, int] = defaultdict(int)
             for key in keys:
-                ymarg[proto.encode(key, x)] += 1
+                ymarg[proto.encode([key], x)[0]] += 1
             for y, cnt in ymarg.items():
                 yp = env.deliver(y)
                 out = x if yp == y else None

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recmac import EnvStrategy, parse_family, uc_distance
 from recmac.cli import _dump_json, main
@@ -557,8 +557,17 @@ def family_descriptor(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(family_descriptor(), st.sampled_from(["json", "csv"]))
+@example("--=\n", "json")   # argparse repeats the argument in its message
 def test_every_family_descriptor_keeps_the_exit_contract(desc, fmt):
     keeps_the_exit_contract(*call_main(["epsilon", "--family", desc, "--format", fmt]))
+
+
+@pytest.mark.parametrize("arg", ["a\nb", "a\r\nb\n", "a\u2028b\x85"], ids=repr)
+def test_an_unrecognized_argument_with_line_breaks_is_one_escaped_stderr_line(arg):
+    code, out, err = call_main(["epsilon", "--family", "mul:m=3", arg])
+    keeps_the_exit_contract(code, out, err)
+    assert code == 2 and len(err.splitlines()) == 1
+    assert err == f"recmac: error: unrecognized arguments: {ascii(arg)[1:-1]}\n"
 
 
 # -- the exit contract over drawn table files -------------------------------------

@@ -121,8 +121,8 @@ class CoarseRecycling(AuthProtocol):
     def keys(self):
         return [(self._recycled[k], k) for k in self.fam.keys()]
 
-    def encode(self, key, x):
-        return (x, self.fam.tag(key[1], x))
+    def encode(self, keys, x):
+        return [(x, self.fam.tag(k, x)) for _, k in keys]
 
     def verdicts(self, keys, wire):
         xp, tp = wire

@@ -147,12 +147,11 @@ def test_only_the_base_family_encodes_messages():
 
 
 def test_the_protocol_base_alone_reads_the_family_spaces():
-    # the wire values and the message check come from the family, once; a
-    # target becomes a protocol in ucsim._admitted alone, and no measure is
-    # kept on a family
+    # the wire values come from the family, once, and a protocol checks a
+    # message only by encoding it; a target becomes a protocol in
+    # ucsim._admitted alone, and no measure is kept on a family
     assert definitions("wire_values", "check_message", "as_protocol", "bits_consumed") == {
-        ("ucsim.py", "AuthProtocol", "wire_values"),
-        ("ucsim.py", "AuthProtocol", "check_message")}
+        ("ucsim.py", "AuthProtocol", "wire_values")}
     assert "_axu2" not in vars(MulFamily(2))
 
 

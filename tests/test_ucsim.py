@@ -214,14 +214,14 @@ def test_counterexample_protocol_encode_receive():
     proto = CounterexampleProtocol(2)
     for key in proto.keys():
         for x in proto.messages:
-            y = proto.encode(key, x)
+            y = proto.encode([key], x)[0]
             assert proto.verdicts([key], y)[0] == x
     with pytest.raises(DomainError):
         proto.verdicts([(0, 0)], (2, 0))
     with pytest.raises(DomainError):
         proto.verdicts([(0, 0)], (0, 9))
     with pytest.raises(DomainError):
-        proto.check_message(5)
+        proto.encode(proto.keys(), 5)
 
 
 def test_counterexample_protocol_distances():
@@ -277,7 +277,7 @@ def substitution_distance(target, recycle, x, subst):
 
 
 def reachable_wires(proto, x):
-    return sorted({proto.encode(key, x) for key in proto.keys()})
+    return sorted(set(proto.encode(proto.keys(), x)))
 
 
 def every_map_maximum(target, recycle):
@@ -484,7 +484,7 @@ def test_run_validates_messages_and_wires():
     with pytest.raises(DomainError):
         proto.verdicts([(0, 0)], ([0], 0))   # unhashable message
     with pytest.raises(DomainError):
-        proto.check_message([0])
+        proto.encode(proto.keys(), [0])
     for recycle in (False, True):
         with pytest.raises(DomainError, match="not a family or protocol: 'nonsense'"):
             run_real("nonsense", EnvStrategy.substitute(0, {}), recycle=recycle)
@@ -628,7 +628,7 @@ def test_wc_protocol_agrees_with_protocol_module(fam, recycle):
                     for k2 in (fam.tags() if recycle else (0,))]
     for key in keys:
         for x in fam.messages:
-            assert proto.encode(key, x) == tuple(authenticate(fam, AuthKey(*key), x))
+            assert proto.encode([key], x)[0] == tuple(authenticate(fam, AuthKey(*key), x))
         for wire in all_wires(fam):
             assert proto.verdicts([key], wire)[0] == \
                 verify(fam, AuthKey(*key), TaggedMessage(*wire))
@@ -658,7 +658,7 @@ BUILT_IN_IDS = ["mul1", "mul1-recycle", "counterexample2"]
 @pytest.mark.parametrize("proto", BUILT_IN_PROTOCOLS, ids=BUILT_IN_IDS)
 def test_protocols_take_a_message_exactly_when_the_family_does(proto, x):
     want = domain_error(lambda: proto.fam.message_index(x))
-    assert domain_error(lambda: proto.check_message(x)) == want
+    assert domain_error(lambda: proto.encode(proto.keys(), x)) == want
     assert (want is None) == (type(x) is int and x in (0, 1))
 
 
